@@ -107,16 +107,16 @@ def _cmd_member(args) -> int:
 def _cmd_empty(args) -> int:
     t0 = time.perf_counter()
     g = _load(args.grammar)
-    empty = is_empty(g)
-    wit = None if empty else emptiness_witness(g)
+    effort: dict = {}
+    wit = emptiness_witness(g, effort)  # None exactly when no axiom is productive
     stats = {
-        "profiles_explored": 0,
-        "iterations": 0,
+        "profiles_explored": effort["settled"],
+        "iterations": effort["pops"],
         "wall_ms": (time.perf_counter() - t0) * 1000.0,
     }
     return _verdict(
         args,
-        DecisionResult(empty, wit, stats),
+        DecisionResult(wit is None, wit, stats),
         "true",
         "false: witness {witness}",
     )
@@ -159,18 +159,23 @@ def _cmd_stats(args) -> int:
     ctx = build_ctx(g)
     reach = reachable_profiles(ctx, cap=args.cap)
     bound = bound_cardinality(g, ctx)
+    try:
+        bound_text = str(bound)
+    except ValueError:  # above the interpreter's int-to-text digit limit
+        bound_text = None
     data = {
         "serial_profiles": reach.n_serial,
         "parallel_profiles": reach.n_parallel,
         "saturated": reach.saturated,
-        "bound": bound,
+        "bound": None if bound_text is None else bound,
+        "bound_bits": bound.bit_length(),
         "working_nonterminals": len(ctx.grammar.pnames) + len(ctx.grammar.snames),
     }
     lines = [
         f"serial profiles: {reach.n_serial}",
         f"parallel profiles: {reach.n_parallel}",
         f"saturated: {reach.saturated}",
-        f"profile bound: {bound}",
+        f"profile bound: {bound_text or f'< 2^{bound.bit_length()}'}",
     ]
     _emit(args, data, lines)
     return 0

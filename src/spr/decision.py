@@ -156,8 +156,10 @@ def is_empty(g: Grammar) -> bool:
     return not (set(g.axioms) & productive_nonterminals(g))
 
 
-def minimal_graphs(g: Grammar) -> dict:
-    """Edge-minimal derivable graph for each productive nonterminal."""
+def minimal_graphs(g: Grammar, stats: Optional[dict] = None) -> dict:
+    """Edge-minimal derivable graph for each productive nonterminal.  When
+    given, ``stats`` receives the effort: nonterminals ``settled`` and heap
+    ``pops``."""
     rule_info = [(r.lhs, rule_rhs_term(r)) for r in g.rules]
     occs = [_ref_occurrences(t) for _, t in rule_info]
     uses = defaultdict(list)
@@ -182,19 +184,24 @@ def minimal_graphs(g: Grammar) -> dict:
     for i, names in enumerate(occs):
         if not names:
             consider(i)
+    pops = 0
     while heap:
         _, _, x, graph = heapq.heappop(heap)
+        pops += 1
         if x in settled:
             continue
         settled[x] = graph
         for i in uses[x]:
             consider(i)
+    if stats is not None:
+        stats.update(settled=len(settled), pops=pops)
     return settled
 
 
-def emptiness_witness(g: Grammar) -> Optional[SPGraph]:
-    """An edge-minimal graph of the language, or None when empty."""
-    best = minimal_graphs(g)
+def emptiness_witness(g: Grammar, stats: Optional[dict] = None) -> Optional[SPGraph]:
+    """An edge-minimal graph of the language, or None when empty
+    (``stats`` as for :func:`minimal_graphs`)."""
+    best = minimal_graphs(g, stats)
     found = [best[x] for x in g.axioms if x in best]
     if not found:
         return None

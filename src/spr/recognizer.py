@@ -10,6 +10,8 @@ membership of arbitrarily large graphs is decided by one bottom-up sweep:
 * a ``PProfile`` (for parallel graphs) maps every P-nonterminal ``p`` to the
   reduced sum of monomials over p's known S-variables, one variable per
   parallel component, describing which parallel layers p can still build.
+  Each sum is packed over p's ``TermSpace`` (one bit per reduced monomial),
+  so composing is masked shifts and testing acceptance is one AND.
 
 The two views convert into each other: ``par_map`` reads a serial graph as a
 single parallel component, ``seq_map`` turns a parallel graph's views into
@@ -44,7 +46,15 @@ from .grammar import (
     validate_regular,
 )
 from .spgraph import Bridge, SNode, SPGraph
-from .termalg import LinearTerm, Monomial, TermNF, linear_to_nf, term_mul
+from .termalg import (
+    LinearTerm,
+    Monomial,
+    TermNF,
+    TermSpace,
+    linear_to_nf,
+    term_mul,
+    term_space,
+)
 
 Pair = tuple[str, Optional[str]]
 
@@ -61,9 +71,9 @@ class SProfile:
 
 @dataclass(frozen=True)
 class PProfile:
-    entries: tuple  # ((p, TermNF), ...) in grammar P-order
+    entries: tuple  # ((p, term), ...) in grammar P-order; see RecognizerCtx.spaces
 
-    def get(self, p: str) -> TermNF:
+    def get(self, p: str):
         for name, t in self.entries:
             if name == p:
                 return t
@@ -95,7 +105,12 @@ class RecognizerCtx:
     table: BasePeriodTable
     contexts: dict  # p -> variable classes for nf
     varsets: dict  # p -> frozenset of variables p knows
-    accepting_monomials: dict  # p -> frozenset of monomials finishing a derivation
+    # p -> TermSpace its terms are packed over, or p's variable classes when
+    # the box exceeds termalg.BOX_LIMIT and its terms stay TermNFs
+    spaces: dict
+    # p -> the monomials finishing a derivation: a bitmask over p's space
+    # (a frozenset of monomials for TermNF terms); ``accepting[p] & t`` tests
+    accepting: dict
     serial_rules: tuple  # (lhs, head_p, remainder) for all C- and D-rules
     bridge_profiles: dict  # label -> SProfile
     pset: frozenset
@@ -129,6 +144,7 @@ def build_ctx(g: Grammar) -> RecognizerCtx:
     table = compute_base_period(work)
     contexts = {p: table.context(p) for p in work.pnames}
     varsets = {p: frozenset(contexts[p]) for p in work.pnames}
+    spaces = {p: term_space(contexts[p]) or contexts[p] for p in work.pnames}
 
     accepting: dict = {p: set() for p in work.pnames}
     falls = defaultdict(set)  # s -> labels derivable in one step
@@ -167,13 +183,20 @@ def build_ctx(g: Grammar) -> RecognizerCtx:
         table=table,
         contexts=contexts,
         varsets=varsets,
-        accepting_monomials={p: frozenset(ms) for p, ms in accepting.items()},
+        spaces=spaces,
+        accepting={p: _accept_mask(ms, spaces[p]) for p, ms in accepting.items()},
         serial_rules=tuple(serial_rules),
         bridge_profiles=bridges,
         pset=frozenset(work.pnames),
         s_axioms=tuple(x for x in work.axioms if x in set(work.snames)),
         p_axioms=tuple(x for x in work.axioms if x in set(work.pnames)),
     )
+
+
+def _accept_mask(monos, space):
+    """What ``accepting[p] & t`` tests a term of ``space`` against."""
+    monos = frozenset(monos)
+    return space.encode(TermNF(monos)) if type(space) is TermSpace else monos
 
 
 def bridge_profile(a: str, ctx: RecognizerCtx) -> SProfile:
@@ -193,13 +216,39 @@ def par_map(h: Profile, ctx: RecognizerCtx) -> PProfile:
     variables that derive the graph completely (parallel profiles pass
     through unchanged)."""
     if isinstance(h, PProfile):
-        return h
-    done = frozenset(s for s, q in h.pairs if q is None)
+        return _native(h, ctx)
+    done = [s for s, q in h.pairs if q is None]
     entries = []
     for p in ctx.grammar.pnames:
-        lin = LinearTerm.of(done & ctx.varsets[p])
-        entries.append((p, linear_to_nf(lin, ctx.contexts[p])))
+        space = ctx.spaces[p]
+        if type(space) is TermSpace:
+            var_bits = space.var_bits
+            bits = 0
+            for s in done:
+                bits |= var_bits.get(s, 0)
+            entries.append((p, space.cls(bits)))
+        else:
+            lin = LinearTerm.of(ctx.varsets[p].intersection(done))
+            entries.append((p, linear_to_nf(lin, space)))
     return PProfile(tuple(entries))
+
+
+def _native(h: PProfile, ctx: RecognizerCtx) -> PProfile:
+    """``h`` with every term in the representation ``ctx.spaces`` asks for.
+    Profiles assembled outside the recognizer (the view oracles) hold
+    ``TermNF``s; packing them here keeps equal profiles hashing equal."""
+    spaces = ctx.spaces
+    foreign = [p for p, t in h.entries if type(t) is TermNF and type(spaces[p]) is TermSpace]
+    if not foreign:
+        return h
+    return PProfile(tuple((p, spaces[p].encode(t) if p in foreign else t) for p, t in h.entries))
+
+
+def _finished(h: PProfile, ctx: RecognizerCtx) -> set:
+    """The P-nonterminals that accept the parallel profile ``h`` as a
+    finished layer."""
+    accepting = ctx.accepting
+    return {p for p, t in h.entries if accepting[p] & t}
 
 
 def seq_map(h: Profile, ctx: RecognizerCtx) -> frozenset:
@@ -208,19 +257,15 @@ def seq_map(h: Profile, ctx: RecognizerCtx) -> frozenset:
     already relations and pass through unchanged)."""
     if isinstance(h, SProfile):
         return h.pairs
-    out = set()
-    view = dict(h.entries)
-    for lhs, head, rem in ctx.serial_rules:
-        if ctx.accepting_monomials[head] & view[head].monomials:
-            out.add((lhs, rem))
-    return frozenset(out)
+    done = _finished(_native(h, ctx), ctx)
+    return frozenset((lhs, rem) for lhs, head, rem in ctx.serial_rules if head in done)
 
 
 def op_parallel(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> PProfile:
     t1 = par_map(h1, ctx)
     t2 = par_map(h2, ctx)
     entries = tuple(
-        (p, term_mul(a, b, ctx.contexts[p]))
+        (p, term_mul(a, b, ctx.spaces[p]))
         for (p, a), (_, b) in zip(t1.entries, t2.entries)
     )
     return PProfile(entries)
@@ -242,7 +287,7 @@ def op_serial(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> SProfile:
             # part as one finished layer
             if t2 is None:
                 t2 = par_map(h2, ctx)
-            if ctx.accepting_monomials[q] & t2.get(q).monomials:
+            if ctx.accepting[q] & t2.get(q):
                 out.add((s, None))
         else:
             for q2 in by_head.get(q, ()):
@@ -286,8 +331,8 @@ def eval_graph(g: SPGraph, ctx: RecognizerCtx) -> Profile:
 def accepts(h: Profile, ctx: RecognizerCtx) -> bool:
     if isinstance(h, SProfile):
         return any((s, None) in h.pairs for s in ctx.s_axioms)
-    view = dict(h.entries)
-    return any(ctx.accepting_monomials[p] & view[p].monomials for p in ctx.p_axioms)
+    done = _finished(_native(h, ctx), ctx)
+    return any(p in done for p in ctx.p_axioms)
 
 
 def member(graph: SPGraph, g: Grammar, ctx: Optional[RecognizerCtx] = None) -> bool:
@@ -321,12 +366,14 @@ def reachable_profiles(ctx: RecognizerCtx, cap: Optional[int] = None) -> ReachRe
     Every profile of an actual graph shows up here; the closure can be larger
     (it composes profiles of incompatible shapes too), but it is still bounded
     by the counting argument in :func:`spr.decision.bound_cardinality`.  Stops
-    unsaturated once ``cap`` profiles have been found.
+    unsaturated, holding exactly ``cap`` profiles, once a profile beyond the
+    first ``cap`` turns up.
     """
-    profiles: set = set(ctx.bridge_profiles[a] for a in ctx.grammar.alphabet)
-    if cap is not None and len(profiles) > cap:
-        return ReachResult(profiles, False)
-    frontier = list(profiles)
+    bridges = list(dict.fromkeys(ctx.bridge_profiles[a] for a in ctx.grammar.alphabet))
+    if cap is not None and len(bridges) > cap:
+        return ReachResult(set(bridges[:cap]), False)
+    profiles = set(bridges)
+    frontier = bridges
     while frontier:
         known = list(profiles)
         new = set()
@@ -338,9 +385,9 @@ def reachable_profiles(ctx: RecognizerCtx, cap: Optional[int] = None) -> ReachRe
                     op_parallel(x, y, ctx),
                 ):
                     if h not in profiles and h not in new:
-                        new.add(h)
-                        if cap is not None and len(profiles) + len(new) > cap:
+                        if cap is not None and len(profiles) + len(new) == cap:
                             return ReachResult(profiles | new, False)
+                        new.add(h)
         profiles |= new
         frontier = list(new)
     return ReachResult(profiles, True)

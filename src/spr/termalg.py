@@ -15,6 +15,13 @@ monomials; the empty set is 0 and the singleton empty monomial is 1.  Sum is
 set union, product distributes and re-reduces -- both stay inside the finite
 space, which is what makes the recognizer algebra finite.
 
+Since the reduced monomials of a context form one finite box, a term is
+computed on as an ``int`` bitset over that box (``TermSpace``): bit ``i`` is
+the monomial whose mixed-radix digits spell ``i``, and multiplying by a
+variable is a masked shift.  ``Monomial`` and ``TermNF`` stay the printing
+and exchange format; a context whose box exceeds ``BOX_LIMIT`` keeps
+multiplying frozensets of monomials pairwise.
+
 The cut-off results are exposed as ``weighted_card`` (how long a product of
 linear sums can stay "interesting") and ``cutoff_bound`` (the general bound
 mixing bounded and periodic variables).
@@ -25,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Union
 
 
@@ -136,11 +144,28 @@ def mono_mul(m1: Monomial, m2: Monomial, ctx: NfContext) -> Optional[Monomial]:
     return nf_monomial(acc, ctx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TermNF:
-    """An idempotent sum of distinct reduced monomials."""
+    """An idempotent sum of distinct reduced monomials.
+
+    A ``TermNF`` equals the ``PackedTerm`` that encodes the same monomials,
+    but hashes differently: sets and dict keys must hold one kind only."""
 
     monomials: frozenset
+
+    def __eq__(self, other):
+        if isinstance(other, (TermNF, PackedTerm)):
+            return self.monomials == other.monomials
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.monomials)
+
+    def __and__(self, monos):
+        """The summands that are in the set ``monos``."""
+        return self.monomials & monos
+
+    __rand__ = __and__
 
     @staticmethod
     def of(monos: Iterable[Optional[Monomial]]) -> "TermNF":
@@ -173,7 +198,211 @@ def term_add(t1: TermNF, t2: TermNF) -> TermNF:
     return TermNF(t1.monomials | t2.monomials)
 
 
-def term_mul(t1: TermNF, t2: TermNF, ctx: NfContext) -> TermNF:
+# ---------------------------------------------------------------------------
+# Packed terms: one bit per monomial of the context's box
+# ---------------------------------------------------------------------------
+
+# The largest box (product of the radices) that terms are packed over; a
+# packed term of that box takes 8 KiB.  Larger contexts (say ``s^3000`` next
+# to a few more variables) keep frozenset terms, whose size follows the
+# monomials actually present.
+BOX_LIMIT = 1 << 16
+
+
+def _radix(cls: VarClass) -> int:
+    """How many reduced exponents a variable of this class has."""
+    if isinstance(cls, Bounded):
+        return cls.base
+    if isinstance(cls, Periodic):
+        return cls.period
+    return cls.theta
+
+
+def _repunit(period: int, count: int) -> int:
+    """``sum(1 << k * period for k in range(count))``, by doubling."""
+    out, block, width, at = 0, 1, 1, 0
+    while count:
+        if count & 1:
+            out |= block << at
+            at += width * period
+        block |= block << width * period
+        width *= 2
+        count >>= 1
+    return out
+
+
+def _set_bits(x: int):
+    """Positions of the set bits of ``x``, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+class PackedTerm(int):
+    """A term as a bitset over its ``TermSpace``.  Every space has its own
+    subclass whose ``space`` attribute decodes the bits, so a packed term
+    prints, measures (``len`` is the number of monomials) and compares with
+    ``TermNF`` like the term it stands for, while hashing and equality among
+    packed terms stay those of ``int``."""
+
+    __slots__ = ()
+    space: "TermSpace"
+
+    __len__ = int.bit_count
+
+    @property
+    def monomials(self) -> frozenset:
+        return self.space.decode(self).monomials
+
+    def __str__(self):
+        return str(self.space.decode(self))
+
+    def __repr__(self):
+        return f"PackedTerm({str(self)!r})"
+
+
+class TermSpace:
+    """The box of reduced monomials of one context.
+
+    Variables are taken in sorted order; variable ``i`` has radix ``r`` (its
+    base, period or theta) and stride ``s`` (the product of the radices
+    before it), and a monomial's index is the sum of exponent times stride.
+    Multiplying a term by ``v_i^e`` moves every monomial whose digit ``i`` is
+    below ``r - e`` up by ``e * s``; the monomials at or above ``r - e`` die
+    (bounded), wrap down by ``(r - e) * s`` (periodic) or, for ``e = 1``, stay
+    on the top digit (threshold).  Both masks are repunits over the blocks of
+    ``r * s`` bits, built with one shift and subtraction, and only on first
+    use.
+    """
+
+    def __init__(self, ctx: NfContext):
+        self.ctx = dict(ctx)
+        self.vars = tuple(sorted(ctx))
+        self.classes = tuple(ctx[v] for v in self.vars)
+        self.radix = tuple(_radix(c) for c in self.classes)
+        strides = []
+        size = 1
+        for r in self.radix:
+            strides.append(size)
+            size *= r
+        self.stride = tuple(strides)
+        self.position = dict(zip(self.vars, self.stride))
+        self.size = size
+        self.cls = type("PackedTerm", (PackedTerm,), {"__slots__": (), "space": self})
+        self.one = self.cls(1)
+        # v^1 reduces to the unit (bit 0) when the radix is 1 (period 1)
+        self.var_bits = {
+            v: 1 << s if r > 1 else 1 for v, s, r in zip(self.vars, self.stride, self.radix)
+        }
+        self._steps: dict = {}  # (var index, exponent) -> (low, up, wrap, down)
+        self._programs: dict = {0: ()}  # monomial index -> steps multiplying by it
+        self._monomials: dict = {}  # monomial index -> Monomial, once decoded
+
+    # -- masks and steps ----------------------------------------------------
+
+    def _below(self, i: int, d: int) -> int:
+        """Mask of the indices whose digit ``i`` is below ``d``."""
+        s = self.stride[i]
+        block = s * self.radix[i]
+        rep = _repunit(block, self.size // block)
+        return (rep << d * s) - rep
+
+    def _step(self, i: int, e: int) -> tuple:
+        """Multiplication by ``v_i^e`` as ``((t & low) << up) | ((t & wrap) >> down)``
+        (``e`` a power of two below the radix; ``e = 1`` for thresholds)."""
+        step = self._steps.get((i, e))
+        if step is None:
+            r, s, cls = self.radix[i], self.stride[i], self.classes[i]
+            low = self._below(i, r - e)
+            if isinstance(cls, Bounded):
+                step = (low, e * s, 0, 0)
+            elif isinstance(cls, Periodic):
+                step = (low, e * s, ((1 << self.size) - 1) ^ low, (r - e) * s)
+            else:
+                step = (low, s, ((1 << self.size) - 1) ^ low, 0)
+            self._steps[(i, e)] = step
+        return step
+
+    def _program(self, idx: int) -> tuple:
+        """The steps multiplying a term by the monomial of index ``idx``."""
+        prog = self._programs.get(idx)
+        if prog is None:
+            steps = []
+            for i, (s, r) in enumerate(zip(self.stride, self.radix)):
+                d = idx // s % r
+                if not d:
+                    continue
+                if isinstance(self.classes[i], Threshold):
+                    steps += [self._step(i, 1)] * d
+                else:
+                    steps += [self._step(i, 1 << k) for k in _set_bits(d)]
+            prog = self._programs[idx] = tuple(steps)
+        return prog
+
+    # -- the algebra --------------------------------------------------------
+
+    def mul(self, a: int, b: int) -> PackedTerm:
+        """Product of two packed terms: the larger one times each monomial of
+        the smaller one, summed."""
+        if a.bit_count() < b.bit_count():
+            a, b = b, a
+        out = 0
+        for idx in _set_bits(b):
+            t = a
+            for low, up, wrap, down in self._program(idx):
+                t = ((t & low) << up) | ((t & wrap) >> down)
+            out |= t
+        return self.cls(out)
+
+    def linear(self, lin: "LinearTerm") -> PackedTerm:
+        bits = 1 if lin.one else 0
+        for v in lin.vars:
+            try:
+                bits |= self.var_bits[v]
+            except KeyError:
+                raise ValueError(f"variable {v!r} not in context") from None
+        return self.cls(bits)
+
+    # -- conversions --------------------------------------------------------
+
+    def monomial(self, idx: int) -> Monomial:
+        m = self._monomials.get(idx)
+        if m is None:
+            m = self._monomials[idx] = Monomial(tuple(
+                (v, idx // s % r)
+                for v, s, r in zip(self.vars, self.stride, self.radix)
+                if idx // s % r
+            ))
+        return m
+
+    def encode(self, t: TermNF) -> PackedTerm:
+        bits = 0
+        for m in t.monomials:
+            m = nf_monomial(m, self.ctx)
+            if m is not None:
+                bits |= 1 << sum(e * self.position[v] for v, e in m.exps)
+        return self.cls(bits)
+
+    def decode(self, bits: int) -> TermNF:
+        return TermNF(frozenset(self.monomial(i) for i in _set_bits(bits)))
+
+
+@lru_cache(maxsize=256)
+def _space(key: tuple) -> TermSpace:
+    return TermSpace(dict(key))
+
+
+def term_space(ctx: NfContext) -> Optional[TermSpace]:
+    """The (cached) space of a context, or ``None`` when its box is larger
+    than ``BOX_LIMIT``."""
+    key = tuple(sorted(ctx.items()))
+    if math.prod(_radix(cls) for _, cls in key) > BOX_LIMIT:
+        return None
+    return _space(key)
+
+
+def _pairwise_mul(t1: TermNF, t2: TermNF, ctx: NfContext) -> TermNF:
     out = set()
     for m1 in t1.monomials:
         for m2 in t2.monomials:
@@ -183,11 +412,16 @@ def term_mul(t1: TermNF, t2: TermNF, ctx: NfContext) -> TermNF:
     return TermNF(frozenset(out))
 
 
-def term_sum(terms: Iterable[TermNF]) -> TermNF:
-    acc = frozenset()
-    for t in terms:
-        acc |= t.monomials
-    return TermNF(acc)
+def term_mul(t1, t2, ctx):
+    """Product of two terms.  Over a ``TermSpace`` the terms are packed and
+    so is the product; over a context mapping they are ``TermNF``s, packed
+    for the product unless the context's box is too large."""
+    if type(ctx) is TermSpace:
+        return ctx.mul(t1, t2)
+    space = term_space(ctx)
+    if space is None:
+        return _pairwise_mul(t1, t2, ctx)
+    return space.decode(space.mul(space.encode(t1), space.encode(t2)))
 
 
 @dataclass(frozen=True)
@@ -206,7 +440,11 @@ class LinearTerm:
         return " + ".join(parts) if parts else "0"
 
 
-def linear_to_nf(lin: LinearTerm, ctx: NfContext) -> TermNF:
+def linear_to_nf(lin: LinearTerm, ctx):
+    """Normal form of a linear sum: packed over a ``TermSpace``, a ``TermNF``
+    over a context mapping."""
+    if type(ctx) is TermSpace:
+        return ctx.linear(lin)
     monos = [nf_monomial({v: 1}, ctx) for v in lin.vars]
     if lin.one:
         monos.append(MONO_ONE)
@@ -216,10 +454,16 @@ def linear_to_nf(lin: LinearTerm, ctx: NfContext) -> TermNF:
 def nf_linear_product(factors: Iterable[LinearTerm], ctx: NfContext) -> TermNF:
     """Normal form of a product of linear sums (the workhorse of the
     parallel-composition law).  An empty product is 1."""
-    acc = ONE
+    space = term_space(ctx)
+    if space is None:
+        acc = ONE
+        for lin in factors:
+            acc = _pairwise_mul(acc, linear_to_nf(lin, ctx), ctx)
+        return acc
+    acc = space.one
     for lin in factors:
-        acc = term_mul(acc, linear_to_nf(lin, ctx), ctx)
-    return acc
+        acc = space.mul(acc, space.linear(lin))
+    return space.decode(acc)
 
 
 def mono_leq(m1: Monomial, m2: Monomial) -> bool:

@@ -263,3 +263,33 @@ def test_entry_raises_system_exit(gfile, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         entry()
     assert exc.value.code == 0
+
+
+def test_stats_on_a_bound_too_long_to_print(gfile, capsys):
+    assert run(["gen-worstcase", "-k", "2"]) == 0
+    path = gfile(capsys.readouterr().out)
+    assert run(["--cap", "50", "stats", path]) == 0
+    out = capsys.readouterr().out
+    assert "saturated: False" in out
+    # interpreters without a digit limit for int-to-text print it exactly
+    bound = out.split("profile bound: ")[1].strip()
+    bits = int(bound[4:]) if bound.startswith("< 2^") else int(bound).bit_length()
+    assert run(["--json", "--cap", "50", "stats", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["saturated"] is False
+    assert data["bound_bits"] == bits > 4300 * 3
+    assert data["serial_profiles"] + data["parallel_profiles"] == 50
+
+
+def test_stats_json_reports_bound_bits(gfile, capsys):
+    assert run(["--json", "stats", gfile(UNIV_TEXT)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["bound_bits"] == data["bound"].bit_length() == 97
+
+
+def test_empty_reports_its_effort(gfile, capsys):
+    assert run(["--json", "empty", gfile(CHAIN_TEXT)]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert set(data["stats"]) == {"profiles_explored", "iterations", "wall_ms"}
+    assert data["stats"]["profiles_explored"] == 2  # p and s
+    assert data["stats"]["iterations"] >= 2

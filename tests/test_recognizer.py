@@ -28,7 +28,8 @@ from spr.spgraph import (
     enumerate_graphs,
     parse_graph,
 )
-from spr.termalg import nf_monomial
+from spr import termalg
+from spr.termalg import TermSpace, nf_monomial
 
 BOT = "⊥"
 
@@ -299,3 +300,44 @@ def test_reachable_parallel_entries_are_reduced(univ):
             assert len(t.monomials) <= size_box
             for m in t.monomials:
                 assert nf_monomial(dict(m.exps), cctx) == m
+
+
+def test_reachable_profiles_stop_at_exactly_the_cap(univ):
+    ctx = build_ctx(univ)
+    full = reachable_profiles(ctx)
+    for cap in (1, 2, 4, len(full.profiles) - 1):
+        res = reachable_profiles(ctx, cap=cap)
+        assert not res.saturated
+        assert len(res.profiles) == cap
+        assert res.profiles <= full.profiles
+    res = reachable_profiles(ctx, cap=len(full.profiles))
+    assert res.saturated and res.profiles == full.profiles
+
+
+# ---------------------------------------------------------------------------
+# packed terms against the frozenset terms of oversized boxes
+# ---------------------------------------------------------------------------
+
+
+def _profile_key(h):
+    return type(h).__name__, str(h)
+
+
+@pytest.mark.parametrize("name", ["univ", "bundle", "even_bundle"])
+def test_frozenset_terms_give_the_same_profiles(name, request, monkeypatch):
+    g = request.getfixturevalue(name)
+    packed = build_ctx(g)
+    monkeypatch.setattr(termalg, "BOX_LIMIT", 1)
+    loose = build_ctx(g)
+    assert not any(isinstance(sp, TermSpace) for sp in loose.spaces.values())
+    assert all(isinstance(sp, TermSpace) for sp in packed.spaces.values())
+    for graph in enumerate_graphs(g.alphabet, 4):
+        h, h_loose = eval_graph(graph, packed), eval_graph(graph, loose)
+        assert h == h_loose
+        assert profile_to_json(h) == profile_to_json(h_loose)
+        assert accepts(h, packed) == accepts(h_loose, loose)
+    full, full_loose = reachable_profiles(packed), reachable_profiles(loose)
+    assert full.saturated and full_loose.saturated
+    assert {_profile_key(h) for h in full.profiles} == {
+        _profile_key(h) for h in full_loose.profiles
+    }

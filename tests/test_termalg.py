@@ -14,6 +14,7 @@ from cutoffs import (
     one_sums,
     products_of_length,
 )
+from spr import termalg
 from spr.termalg import (
     MONO_ONE,
     ONE,
@@ -28,11 +29,13 @@ from spr.termalg import (
     expand_product,
     linear_to_nf,
     mono_leq,
+    mono_mul,
     nf_linear_product,
     nf_monomial,
     sup_monomials,
     term_add,
     term_mul,
+    term_space,
     weighted_card,
 )
 
@@ -319,3 +322,94 @@ def test_general_products_have_existential_cutoff():
         for factors in products_of_length(linear_sums(ctx), length):
             t = nf_linear_product(factors, ctx)
             assert t.is_zero or exists_equal_subproduct(factors, ctx)
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against the monomial-level definitions
+# ---------------------------------------------------------------------------
+
+var_classes = st.one_of(
+    st.builds(Bounded, st.integers(2, 4)),
+    st.builds(Periodic, st.integers(1, 4)),
+    st.builds(Threshold, st.integers(2, 4)),
+)
+contexts = st.dictionaries(
+    st.sampled_from(["s0", "s1", "s2", "s3"]), var_classes, min_size=1, max_size=4
+)
+
+
+def terms_in(ctx):
+    """Strategy for normal forms over ``ctx``."""
+    monos = st.dictionaries(st.sampled_from(sorted(ctx)), st.integers(0, 5)).map(
+        lambda exps: nf_monomial(exps, ctx)
+    )
+    return st.frozensets(monos, max_size=6).map(TermNF.of)
+
+
+def linears_in(ctx):
+    return st.builds(
+        LinearTerm.of, st.frozensets(st.sampled_from(sorted(ctx))), st.booleans()
+    )
+
+
+def pairwise_reference(t1, t2, ctx):
+    return TermNF.of(mono_mul(m1, m2, ctx) for m1 in t1 for m2 in t2)
+
+
+@given(st.data())
+def test_packed_linear_product_matches_expansion(data):
+    ctx = data.draw(contexts)
+    factors = data.draw(st.lists(linears_in(ctx), max_size=5))
+    assert term_space(ctx) is not None
+    assert nf_linear_product(factors, ctx) == expand_product(factors, ctx)
+
+
+@given(st.data())
+def test_packed_term_mul_matches_pairwise_products(data):
+    ctx = data.draw(contexts)
+    t1, t2 = data.draw(terms_in(ctx)), data.draw(terms_in(ctx))
+    want = pairwise_reference(t1, t2, ctx)
+    assert term_mul(t1, t2, ctx) == want
+    space = term_space(ctx)
+    packed = term_mul(space.encode(t1), space.encode(t2), space)
+    assert packed == space.encode(want)
+    assert packed == want and len(packed) == len(want)
+    assert str(packed) == str(want)
+
+
+@given(st.data())
+def test_encode_decode_round_trip(data):
+    ctx = data.draw(contexts)
+    space = term_space(ctx)
+    t = data.draw(terms_in(ctx))
+    assert space.decode(space.encode(t)) == t
+    bits = data.draw(st.integers(0, (1 << space.size) - 1))
+    assert space.encode(space.decode(bits)) == bits
+    for m in space.decode(bits):
+        assert nf_monomial(m, ctx) == m
+
+
+def test_packed_terms_read_like_normal_forms():
+    space = term_space(CTX)
+    t = space.linear(LinearTerm.of(["s1", "s4"], one=True))
+    assert str(t) == f"{t}" == "1 + s1 + s4"
+    assert len(t) == 3 and t.monomials == {MONO_ONE, mono(s1=1), mono(s4=1)}
+    # s3 has period 1: s3 is the unit
+    assert space.linear(LinearTerm.of(["s3"])) == space.one == ONE
+    assert term_mul(t, space.encode(ZERO), space) == ZERO
+
+
+def test_large_boxes_keep_frozenset_terms(monkeypatch):
+    monkeypatch.setattr(termalg, "BOX_LIMIT", 10)
+    assert term_space({"s": Bounded(10)}) is not None
+    ctx = {"s": Bounded(11)}
+    assert term_space(ctx) is None
+    t = nf_linear_product([LinearTerm.of(["s"], one=True)] * 3, ctx)
+    assert t == expand_product([LinearTerm.of(["s"], one=True)] * 3, ctx)
+    assert term_mul(t, t, ctx) == pairwise_reference(t, t, ctx)
+    # a box of 2^80 monomials: nothing of its size is ever allocated
+    wide = {f"s{i:02}": Bounded(2) for i in range(80)}
+    assert term_space(wide) is None
+    lin = LinearTerm.of(["s00", "s79"], one=True)
+    t = nf_linear_product([lin, lin], wide)
+    assert t == expand_product([lin, lin], wide) and len(t) == 4
