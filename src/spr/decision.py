@@ -1,15 +1,18 @@
 """Decision procedures built on top of the profile recognizer.
 
 All of these reduce questions about infinite graph languages to finite
-saturations:
+saturations.  Emptiness, inclusion and filtering share one loop,
+``_lightest``: Knuth's lightest-derivation search, which evaluates every
+derivation of a grammar into a finite algebra and keeps an edge-minimal
+witness per (nonterminal, value).
 
-* ``is_empty``: a productivity fixpoint over the rules.
-* ``minimal_graphs``: smallest derivable graph per nonterminal
-  (shortest-derivation search, so witnesses are edge-minimal).
-* ``derivable_values``: for every nonterminal of one grammar, all profiles
-  (with respect to another grammar) of graphs it derives, each with an
+* ``minimal_graphs``: the loop over the one-point algebra, so the smallest
+  derivable graph per nonterminal; ``is_empty`` asks whether an axiom has one.
+* ``derivable_values``: the loop over the profiles of another grammar, so
+  for every nonterminal all profiles of graphs it derives, each with an
   edge-minimal witness.  Inclusion and filtering are read off from this.
-* ``intersection_empty``: the same saturation on tuples of profiles.
+* ``intersection_empty``: a search over tuples of profiles, closed under the
+  free serial and parallel operations.
 * ``bound_cardinality``: a closed-form bound on how many distinct profiles a
   grammar admits; reachability saturations stay below it.
 """
@@ -37,11 +40,13 @@ from .recognizer import (
 from .spgraph import (
     Atom,
     Bridge,
+    Parallel,
     Ref,
     Serial,
     SPGraph,
     compose_parallel,
     compose_serial,
+    fold_term,
 )
 from .termalg import Bounded, Periodic
 
@@ -72,66 +77,78 @@ class DecisionResult:
 
 
 # ---------------------------------------------------------------------------
-# Plumbing over rule bodies
+# Lightest derivations
 # ---------------------------------------------------------------------------
 
 
-def _ref_occurrences(t) -> list:
-    """Nonterminal occurrences of a body, in the traversal order every other
-    helper here uses (left to right)."""
-    if isinstance(t, Atom):
-        return []
-    if isinstance(t, Ref):
-        return [t.name]
-    return _ref_occurrences(t.left) + _ref_occurrences(t.right)
+def _point(*_):
+    """Every action of the one-point algebra: all graphs evaluate to None."""
 
 
-def _build_graph(t, wits) -> SPGraph:
-    """The body with its i-th nonterminal occurrence replaced by wits[i]."""
-    it = iter(wits)
+def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None) -> dict:
+    """For every nonterminal of ``g``: each value its derivations take in the
+    algebra given by ``atom(label)``, ``ser(a, b)`` and ``par(a, b)``, mapped
+    to an edge-minimal witness graph.
 
-    def go(node):
-        if isinstance(node, Atom):
-            return Bridge(node.label)
-        if isinstance(node, Ref):
-            return next(it)
-        a, b = go(node.left), go(node.right)
-        return compose_serial(a, b) if isinstance(node, Serial) else compose_parallel(a, b)
+    Knuth's lightest-derivation search: candidates leave a heap in order of
+    edges, and the first one for a (nonterminal, value) settles it.  A newly
+    settled value re-evaluates only the rule bodies that use it, once per
+    combination that holds it (semi-naive: the occurrences before the one
+    fixed to the new value take only older values).  ``stats`` receives the
+    values ``settled`` and the heap ``pops``; more than ``cap`` settled
+    values raise :class:`CapExceeded`.
+    """
+    bodies = [(r.lhs, rule_rhs_term(r)) for r in g.rules]
+    occs = []
+    uses = defaultdict(list)  # nonterminal -> [(rule index, its positions)]
+    for i, (_, t) in enumerate(bodies):
+        names: list = []
+        fold_term(t, _point, names.append, _point, _point)
+        occs.append(names)
+        for y in dict.fromkeys(names):
+            uses[y].append((i, [j for j, n in enumerate(names) if n == y]))
+    settled: dict = {x: {} for x in g.pnames + g.snames}
+    heap: list = []
+    tick = itertools.count()
 
-    return go(t)
+    def push(i, combo):
+        lhs, t = bodies[i]
+        it = iter(combo)
+        value = fold_term(t, atom, lambda _: next(it)[0], ser, par)
+        if value in settled[lhs]:
+            return
+        it = iter(combo)
+        wit = fold_term(t, Bridge, lambda _: next(it)[1], compose_serial, compose_parallel)
+        heapq.heappush(heap, (wit.edges, next(tick), lhs, value, wit))
 
-
-def _eval_body(ctx: RecognizerCtx, t, vals, wits):
-    """Profile and witness of the body under a choice of profile/witness for
-    each nonterminal occurrence (same order as ``_ref_occurrences``)."""
-    idx = iter(range(len(vals)))
-
-    def go(node):
-        if isinstance(node, Atom):
-            return bridge_profile(node.label, ctx), Bridge(node.label)
-        if isinstance(node, Ref):
-            i = next(idx)
-            return vals[i], wits[i]
-        (va, wa), (vb, wb) = go(node.left), go(node.right)
-        if isinstance(node, Serial):
-            return op_serial(va, vb, ctx), compose_serial(wa, wb)
-        return op_parallel(va, vb, ctx), compose_parallel(wa, wb)
-
-    return go(t)
-
-
-def _rename_refs(t, names):
-    it = iter(names)
-
-    def go(node):
-        if isinstance(node, Atom):
-            return node
-        if isinstance(node, Ref):
-            return Ref(next(it))
-        cls = type(node)
-        return cls(go(node.left), go(node.right))
-
-    return go(t)
+    for i, names in enumerate(occs):
+        if not names:
+            push(i, ())
+    total = pops = 0
+    while heap:
+        _, _, x, value, wit = heapq.heappop(heap)
+        pops += 1
+        pool = settled[x]
+        if value in pool:
+            continue
+        pool[value] = wit
+        total += 1
+        if cap is not None and total > cap:
+            raise CapExceeded(cap)
+        full = list(pool.items())
+        old, new = full[:-1], full[-1:]
+        for i, positions in uses[x]:
+            pools = [list(settled[y].items()) for y in occs[i]]
+            for j in positions:
+                pools[j] = new
+                for combo in itertools.product(*pools):
+                    push(i, combo)
+                if not old:  # later positions would need an older value of x
+                    break
+                pools[j] = old
+    if stats is not None:
+        stats.update(settled=total, pops=pops)
+    return settled
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +157,7 @@ def _rename_refs(t, names):
 
 
 def productive_nonterminals(g: Grammar) -> set:
-    info = [(r.lhs, set(_ref_occurrences(rule_rhs_term(r)))) for r in g.rules]
-    prod: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for lhs, refs in info:
-            if lhs not in prod and refs <= prod:
-                prod.add(lhs)
-                changed = True
-    return prod
+    return set(minimal_graphs(g))
 
 
 def is_empty(g: Grammar) -> bool:
@@ -160,42 +168,8 @@ def minimal_graphs(g: Grammar, stats: Optional[dict] = None) -> dict:
     """Edge-minimal derivable graph for each productive nonterminal.  When
     given, ``stats`` receives the effort: nonterminals ``settled`` and heap
     ``pops``."""
-    rule_info = [(r.lhs, rule_rhs_term(r)) for r in g.rules]
-    occs = [_ref_occurrences(t) for _, t in rule_info]
-    uses = defaultdict(list)
-    for i, names in enumerate(occs):
-        for y in set(names):
-            uses[y].append(i)
-    settled: dict = {}
-    heap: list = []
-    tick = itertools.count()
-
-    def consider(i):
-        lhs, t = rule_info[i]
-        if lhs in settled:
-            return
-        try:
-            wits = [settled[y] for y in occs[i]]
-        except KeyError:
-            return
-        graph = _build_graph(t, wits)
-        heapq.heappush(heap, (graph.edges, next(tick), lhs, graph))
-
-    for i, names in enumerate(occs):
-        if not names:
-            consider(i)
-    pops = 0
-    while heap:
-        _, _, x, graph = heapq.heappop(heap)
-        pops += 1
-        if x in settled:
-            continue
-        settled[x] = graph
-        for i in uses[x]:
-            consider(i)
-    if stats is not None:
-        stats.update(settled=len(settled), pops=pops)
-    return settled
+    values = _lightest(g, _point, _point, _point, stats=stats)
+    return {x: vs[None] for x, vs in values.items() if vs}
 
 
 def emptiness_witness(g: Grammar, stats: Optional[dict] = None) -> Optional[SPGraph]:
@@ -213,47 +187,25 @@ def emptiness_witness(g: Grammar, stats: Optional[dict] = None) -> Optional[SPGr
 # ---------------------------------------------------------------------------
 
 
-def derivable_values(g: Grammar, ctx: RecognizerCtx, cap: Optional[int] = None) -> dict:
+def _profile_ops(ctx: RecognizerCtx):
+    """The (atom, ser, par) actions that evaluate a term into profiles."""
+    return (
+        lambda a: bridge_profile(a, ctx),
+        lambda h1, h2: op_serial(h1, h2, ctx),
+        lambda h1, h2: op_parallel(h1, h2, ctx),
+    )
+
+
+def derivable_values(
+    g: Grammar, ctx: RecognizerCtx, cap: Optional[int] = None, stats: Optional[dict] = None
+) -> dict:
     """For every nonterminal of ``g``: all profiles (w.r.t. ``ctx``) of graphs
-    it derives, mapped to an edge-minimal witness graph."""
+    it derives, mapped to an edge-minimal witness graph.  When given,
+    ``stats`` receives the effort: values ``settled`` and heap ``pops``."""
     foreign = set(g.alphabet) - set(ctx.grammar.alphabet)
     if foreign:
         raise GrammarError(f"alphabet mismatch: {sorted(foreign)} unknown to the recognizer")
-    rule_info = [(r.lhs, rule_rhs_term(r)) for r in g.rules]
-    occs = [_ref_occurrences(t) for _, t in rule_info]
-    uses = defaultdict(list)
-    for i, names in enumerate(occs):
-        for y in set(names):
-            uses[y].append(i)
-    settled = {x: {} for x in g.pnames + g.snames}
-    heap: list = []
-    tick = itertools.count()
-
-    def consider(i):
-        lhs, t = rule_info[i]
-        pools = [list(settled[y].items()) for y in occs[i]]
-        for combo in itertools.product(*pools):
-            vals = [v for v, _ in combo]
-            wits = [w for _, w in combo]
-            value, wit = _eval_body(ctx, t, vals, wits)
-            if value not in settled[lhs]:
-                heapq.heappush(heap, (wit.edges, next(tick), lhs, value, wit))
-
-    for i, names in enumerate(occs):
-        if not names:
-            consider(i)
-    total = 0
-    while heap:
-        _, _, x, value, wit = heapq.heappop(heap)
-        if value in settled[x]:
-            continue
-        settled[x][value] = wit
-        total += 1
-        if cap is not None and total > cap:
-            raise CapExceeded(cap)
-        for i in uses[x]:
-            consider(i)
-    return settled
+    return _lightest(g, *_profile_ops(ctx), cap, stats)
 
 
 def inclusion(g1: Grammar, g2: Grammar, cap: Optional[int] = None) -> DecisionResult:
@@ -261,9 +213,9 @@ def inclusion(g1: Grammar, g2: Grammar, cap: Optional[int] = None) -> DecisionRe
     with an edge-minimal counterexample when it does not hold."""
     t0 = time.perf_counter()
     ctx2 = build_ctx(g2)
-    values = derivable_values(g1, ctx2, cap)
-    explored = sum(len(vs) for vs in values.values())
-    stats = {"profiles_explored": explored, "iterations": explored}
+    effort: dict = {}
+    values = derivable_values(g1, ctx2, cap, effort)
+    stats = {"profiles_explored": effort["settled"], "iterations": effort["pops"]}
     bad = []
     for x in g1.axioms:
         bad.extend(w for v, w in values[x].items() if not accepts(v, ctx2))
@@ -347,16 +299,17 @@ def filter_grammar(
         ordered = sorted(values[x].items(), key=lambda vw: (vw[1].edges, vw[1].key))
         vname[x] = {v: f"{x}$v{i}" for i, (v, _) in enumerate(ordered)}
 
+    atom, ser, par = _profile_ops(ctx2)
     rules = []
     for r in g1.rules:
         t = rule_rhs_term(r)
-        occ = _ref_occurrences(t)
-        pools = [list(values[y].items()) for y in occ]
-        for combo in itertools.product(*pools):
-            vals = [v for v, _ in combo]
-            wits = [w for _, w in combo]
-            value, _ = _eval_body(ctx2, t, vals, wits)
-            body = _rename_refs(t, [vname[y][v] for y, v in zip(occ, vals)])
+        occ: list = []
+        fold_term(t, _point, occ.append, _point, _point)
+        for vals in itertools.product(*(values[y] for y in occ)):
+            it = iter(vals)
+            value = fold_term(t, atom, lambda _: next(it), ser, par)
+            it = iter(vname[y][v] for y, v in zip(occ, vals))
+            body = fold_term(t, Atom, lambda _: Ref(next(it)), Serial, Parallel)
             rules.append(RuleFree(vname[r.lhs][value], body))
 
     axioms = []

@@ -51,6 +51,7 @@ from .spgraph import (
     Serial,
     Term,
     _TermParser,
+    fold_term,
     format_term,
     tokenize,
 )
@@ -148,18 +149,8 @@ Rule = Union[RuleA, RuleB, RuleC, RuleD, RuleE, RuleF, RuleAlt, RuleFree]
 REGULAR_KINDS = (RuleA, RuleB, RuleC, RuleD, RuleE, RuleF)
 
 
-def _term_names(t: Term):
-    """Yield ('ref'|'lit', name) for every leaf of a rule body."""
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            yield "lit", node.label
-        elif isinstance(node, Ref):
-            yield "ref", node.name
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
+def _ignore(*_):
+    """A leaf or node action for folds that only collect leaves."""
 
 
 @dataclass(frozen=True)
@@ -208,25 +199,31 @@ class Grammar:
         def want(x, kind):
             pool = p if kind == "P" else s
             if x not in pool:
-                raise GrammarError(f"{x!r} is not a declared {kind}-nonterminal in {r}")
+                raise GrammarError(
+                    f"{x!r} is not a declared {kind}-nonterminal in {format_rule(r)}"
+                )
 
         if isinstance(r, RuleA):
             want(r.p, "P"), want(r.s, "S")
             if r.ell < 1:
-                raise GrammarError(f"exponent must be >= 1 in {r}")
+                raise GrammarError(f"exponent must be >= 1 in {format_rule(r)}")
         elif isinstance(r, RuleB):
             want(r.p, "P")
             if not r.body or r.body != tuple(sorted(r.body)):
-                raise GrammarError(f"rule body must be sorted and non-empty in {r}")
+                raise GrammarError(
+                    f"rule body must be sorted and non-empty in {format_rule(r)}"
+                )
             names = [v for v, _ in r.body]
             if len(set(names)) != len(names):
-                raise GrammarError(f"repeated variable in body of {r}")
+                raise GrammarError(f"repeated variable in body of {format_rule(r)}")
             for v, e in r.body:
                 want(v, "S")
                 if e < 1:
-                    raise GrammarError(f"exponent must be >= 1 in {r}")
+                    raise GrammarError(f"exponent must be >= 1 in {format_rule(r)}")
             if sum(e for _, e in r.body) < 2:
-                raise GrammarError(f"parallel body needs at least two factors in {r}")
+                raise GrammarError(
+                    f"parallel body needs at least two factors in {format_rule(r)}"
+                )
         elif isinstance(r, RuleC):
             want(r.s, "S"), want(r.p, "P"), want(r.s1, "S")
         elif isinstance(r, RuleD):
@@ -234,21 +231,24 @@ class Grammar:
         elif isinstance(r, RuleE):
             want(r.p, "P")
             if r.a not in self.alphabet:
-                raise GrammarError(f"label {r.a!r} not in alphabet in {r}")
+                raise GrammarError(f"label {r.a!r} not in alphabet in {format_rule(r)}")
         elif isinstance(r, RuleF):
             want(r.s, "S")
             if r.a not in self.alphabet:
-                raise GrammarError(f"label {r.a!r} not in alphabet in {r}")
+                raise GrammarError(f"label {r.a!r} not in alphabet in {format_rule(r)}")
         elif isinstance(r, RuleAlt):
             want(r.p, "P"), want(r.s, "S")
         elif isinstance(r, RuleFree):
             if r.name not in p and r.name not in s:
-                raise GrammarError(f"undeclared nonterminal {r.name!r} in {r}")
-            for role, n in _term_names(r.rhs):
-                if role == "lit" and n not in self.alphabet:
-                    raise GrammarError(f"label {n!r} not in alphabet in {r}")
-                if role == "ref" and n not in p and n not in s:
-                    raise GrammarError(f"undeclared nonterminal {n!r} in {r}")
+                raise GrammarError(f"undeclared nonterminal {r.name!r} in {format_rule(r)}")
+            labels, refs = [], []
+            fold_term(r.rhs, labels.append, refs.append, _ignore, _ignore)
+            for n in labels:
+                if n not in self.alphabet:
+                    raise GrammarError(f"label {n!r} not in alphabet in {format_rule(r)}")
+            for n in refs:
+                if n not in p and n not in s:
+                    raise GrammarError(f"undeclared nonterminal {n!r} in {format_rule(r)}")
         else:
             raise GrammarError(f"unknown rule object {r!r}")
 
@@ -452,7 +452,9 @@ def is_alternative(g: Grammar) -> bool:
         for r in g.rules:
             if isinstance(r, RuleAlt) or r.lhs == t:
                 continue
-            if any(role == "ref" and n == t for role, n in _term_names(rule_rhs_term(r))):
+            refs: list = []
+            fold_term(rule_rhs_term(r), _ignore, refs.append, _ignore, _ignore)
+            if t in refs:
                 return False
     return True
 

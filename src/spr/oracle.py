@@ -35,16 +35,13 @@ from .grammar import (
 )
 from .recognizer import SProfile
 from .spgraph import (
-    Atom,
     Bridge,
-    Parallel,
     PNode,
-    Ref,
-    Serial,
     SNode,
     SPGraph,
     compose_parallel,
     compose_serial,
+    fold_term,
 )
 from .termalg import LinearTerm, TermNF, nf_linear_product
 
@@ -84,13 +81,13 @@ def _par(children):
 
 
 def _to_pterm(t):
-    if isinstance(t, Atom):
-        return ("lit", t.label)
-    if isinstance(t, Ref):
-        return ("ref", t.name)
-    if isinstance(t, Serial):
-        return _ser([_to_pterm(t.left), _to_pterm(t.right)])
-    return _par([_to_pterm(t.left), _to_pterm(t.right)])
+    return fold_term(
+        t,
+        lambda label: ("lit", label),
+        lambda name: ("ref", name),
+        lambda a, b: _ser([a, b]),
+        lambda a, b: _par([a, b]),
+    )
 
 
 def _subst_first(pt, repl):

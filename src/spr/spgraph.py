@@ -63,19 +63,69 @@ class Ref:
     name: str
 
 
-@dataclass(frozen=True)
-class Serial:
+class _Node:
+    """What ``Serial`` and ``Parallel`` share: hashing and equality read the
+    term's postfix form, built by ``fold_term``, so a long chain never
+    recurses (as the dataclass defaults would)."""
+
+    def _postfix(self) -> list:
+        out: list = []
+        fold_term(
+            self,
+            lambda label: out.append(("atom", label)),
+            lambda name: out.append(("ref", name)),
+            lambda a, b: out.append("."),
+            lambda a, b: out.append("||"),
+        )
+        return out
+
+    def __hash__(self):
+        return hash(tuple(self._postfix()))
+
+    def __eq__(self, other):
+        return isinstance(other, _Node) and self._postfix() == other._postfix()
+
+
+@dataclass(frozen=True, eq=False)
+class Serial(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Parallel:
+@dataclass(frozen=True, eq=False)
+class Parallel(_Node):
     left: "Term"
     right: "Term"
 
 
 Term = Union[Atom, Ref, Serial, Parallel]
+
+
+def fold_term(t: Term, atom, ref, ser, par):
+    """Fold a term bottom-up: ``Atom`` leaves become ``atom(label)``, ``Ref``
+    leaves ``ref(name)``, and nodes ``ser(left, right)`` or
+    ``par(left, right)`` of their folded sides.
+
+    Iterative post-order, so arbitrarily deep terms do not hit the Python
+    recursion limit; leaves are met left to right.
+    """
+    out: list = []
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        node, seen = stack.pop()
+        if isinstance(node, Atom):
+            out.append(atom(node.label))
+        elif isinstance(node, Ref):
+            out.append(ref(node.name))
+        elif not seen:
+            stack.append((node, True))
+            stack.append((node.right, False))
+            stack.append((node.left, False))
+        else:
+            b = out.pop()
+            a = out.pop()
+            out.append(ser(a, b) if isinstance(node, Serial) else par(a, b))
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -169,31 +219,14 @@ def edge_count(g: SPGraph) -> int:
     return g.edges
 
 
-def canonicalize(t: Term) -> SPGraph:
-    """Turn a ground term into its canonical decomposition tree.
+def _not_ground(name: str):
+    raise ValueError(f"term is not ground: nonterminal {name!r}")
 
-    Iterative post-order so arbitrarily deep terms do not hit the Python
-    recursion limit.  Rejects terms with nonterminal leaves.
-    """
-    out: list[SPGraph] = []
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        node, seen = stack.pop()
-        if isinstance(node, Atom):
-            out.append(Bridge(node.label))
-        elif isinstance(node, Ref):
-            raise ValueError(f"term is not ground: nonterminal {node.name!r}")
-        elif not seen:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-        else:
-            b = out.pop()
-            a = out.pop()
-            out.append(
-                compose_serial(a, b) if isinstance(node, Serial) else compose_parallel(a, b)
-            )
-    return out[0]
+
+def canonicalize(t: Term) -> SPGraph:
+    """Turn a ground term into its canonical decomposition tree.  Rejects
+    terms with nonterminal leaves."""
+    return fold_term(t, Bridge, _not_ground, compose_serial, compose_parallel)
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +388,22 @@ def format_graph(g: SPGraph) -> str:
     return out[g.key]
 
 
+def _text_leaf(name: str):
+    return name, False
+
+
+def _text_ser(a, b):
+    sides = ("(" + text + ")" if is_par else text for text, is_par in (a, b))
+    return " . ".join(sides), False
+
+
+def _text_par(a, b):
+    return a[0] + " || " + b[0], True
+
+
 def format_term(t: Term) -> str:
     """Render a free term; used for grammar rule bodies."""
-    if isinstance(t, Atom):
-        return t.label
-    if isinstance(t, Ref):
-        return t.name
-    if isinstance(t, Serial):
-        sides = []
-        for side in (t.left, t.right):
-            s = format_term(side)
-            sides.append("(" + s + ")" if isinstance(side, Parallel) else s)
-        return f"{sides[0]} . {sides[1]}"
-    return f"{format_term(t.left)} || {format_term(t.right)}"
+    return fold_term(t, _text_leaf, _text_leaf, _text_ser, _text_par)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,28 @@ p -> a
 """
 
 
+# An A-rule exponent expands into a chain of 3000 parallel nodes.
+DEEP_TEXT = """\
+alphabet: a
+pnonterminals: p
+snonterminals: s
+axioms: p
+rules:
+p -> p || s^3000
+p -> s^2
+s -> a
+"""
+
+
+def long_rule_text(lhs, sep, last="a"):
+    """A grammar with one free-form rule of 3000 factors joined by ``sep``."""
+    body = f" {sep} ".join(["a"] * 2999 + [last])
+    return (
+        f"alphabet: a\npnonterminals: p\nsnonterminals: s\naxioms: {lhs}\n"
+        f"rules:\n{lhs} -> {body}\n"
+    )
+
+
 @pytest.fixture
 def gfile(tmp_path):
     def write(text, name="g.spg"):
@@ -293,3 +315,38 @@ def test_empty_reports_its_effort(gfile, capsys):
     assert set(data["stats"]) == {"profiles_explored", "iterations", "wall_ms"}
     assert data["stats"]["profiles_explored"] == 2  # p and s
     assert data["stats"]["iterations"] >= 2
+
+
+# ---------------------------------------------------------------------------
+# deep and long rule bodies
+# ---------------------------------------------------------------------------
+
+
+def test_deep_exponents_do_not_crash(gfile, capsys):
+    deep = gfile(DEEP_TEXT)
+    assert run(["empty", deep]) == 1
+    assert capsys.readouterr().out == "false: witness a || a\n"
+    assert run(["include", "-l", deep, "-r", deep]) == 0
+    assert run(["filter", "-l", deep, "-r", deep]) == 0
+    assert "s$v0 || s$v0" in capsys.readouterr().out
+    assert run(["enumerate", "-g", deep, "-n", "4"]) == 0
+    assert capsys.readouterr().out == "a || a\n"  # the next graph has 3002 edges
+    assert run(["member", "-g", deep, "-t", "a || a"]) == 0
+
+
+@pytest.mark.parametrize("lhs,sep", [("s", "."), ("p", "||")])
+def test_long_free_rules_do_not_crash(gfile, capsys, lhs, sep):
+    path = gfile(long_rule_text(lhs, sep))
+    assert run(["check", path]) == 1
+    assert "free-form right-hand side" in capsys.readouterr().out
+    assert run(["empty", path]) == 1
+    assert capsys.readouterr().out.count(f" {sep} ") == 2999
+    assert run(["normalize", path]) == 2
+    assert "cannot normalize a non-regular grammar" in capsys.readouterr().err
+
+
+def test_bad_label_in_a_long_rule_exits_2(gfile, capsys):
+    assert run(["check", gfile(long_rule_text("s", ".", last="z"))]) == 2
+    err = capsys.readouterr().err
+    assert "label 'z' not in alphabet in s -> a . a" in err
+    assert err.rstrip().endswith("a . z")

@@ -13,9 +13,9 @@ from spr.decision import (
     minimal_graphs,
     productive_nonterminals,
 )
-from spr.grammar import GrammarError, validate_regular
-from spr.oracle import language_upto
-from spr.recognizer import accepts, build_ctx, member, reachable_profiles
+from spr.grammar import GrammarError, parse_grammar, validate_regular
+from spr.oracle import gen_random_grammar, lang_from, language_upto
+from spr.recognizer import accepts, build_ctx, eval_graph, member, reachable_profiles
 from spr.spgraph import format_graph
 
 # ---------------------------------------------------------------------------
@@ -181,6 +181,51 @@ def test_derivable_values_settle_minimal_witnesses(ga, univ):
 def test_derivable_values_reject_foreign_labels(univ, chain):
     with pytest.raises(GrammarError, match="alphabet mismatch"):
         derivable_values(univ, build_ctx(chain))
+
+
+# Chains a . b . ... . b . a: serial profiles that tell a . b from b . a.
+ABA_TEXT = """\
+alphabet: a b
+pnonterminals: p q
+snonterminals: s t
+axioms: s
+rules:
+s -> p . t
+t -> q . t
+t -> q . p
+p -> a
+q -> b
+"""
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_derivable_values_match_enumeration(univ, seed):
+    # every combination of settled values must be tried: a dropped one shows
+    # as a missing value or as a witness heavier than the lightest graph
+    # (against univ, whose profiles ignore order, only the latter can show)
+    g = gen_random_grammar(seed)
+    for ctx in (build_ctx(univ), build_ctx(parse_grammar(ABA_TEXT))):
+        values = derivable_values(g, ctx)
+        for x, found in values.items():
+            small = {v for v, w in found.items() if w.edges <= 4}
+            assert small == {eval_graph(h, ctx) for h in lang_from(g, x, 4)}
+            for v, w in found.items():
+                assert eval_graph(w, ctx) == v
+                assert w in lang_from(g, x, w.edges)
+                assert all(eval_graph(h, ctx) != v for h in lang_from(g, x, w.edges - 1))
+
+
+def test_inclusion_reports_heap_pops(univ, ga, gab, chain, bundle, even_bundle):
+    surplus = 0
+    for g1, g2 in [(bundle, even_bundle), (chain, univ), (univ, univ), (ga, gab)]:
+        stats = inclusion(g1, g2).stats
+        effort: dict = {}
+        values = derivable_values(g1, build_ctx(g2), stats=effort)
+        assert effort["settled"] == sum(len(vs) for vs in values.values())
+        assert stats["profiles_explored"] == effort["settled"]
+        assert stats["iterations"] == effort["pops"] >= effort["settled"]
+        surplus += effort["pops"] - effort["settled"]
+    assert surplus > 0  # superseded candidates are popped and counted too
 
 
 # ---------------------------------------------------------------------------

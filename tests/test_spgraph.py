@@ -20,6 +20,7 @@ from spr.spgraph import (
     compose_serial,
     edge_count,
     enumerate_graphs,
+    format_term,
     format_graph,
     parse_graph,
     parse_term,
@@ -266,3 +267,18 @@ def test_deep_graphs_survive_round_trips():
     g = random_graph(random.Random(3), 5000, ["a", "b"])
     assert g.edges == 5000
     assert parse_graph(format_graph(g)) == g
+
+
+def test_long_terms_hash_compare_and_print():
+    def chain(node, last):
+        t = Atom("a")
+        for _ in range(4999):
+            t = node(t, Atom("a"))
+        return node(t, last)
+
+    t = chain(Serial, Atom("a"))
+    assert t == chain(Serial, Atom("a"))
+    assert hash(t) == hash(chain(Serial, Atom("a")))
+    assert t != chain(Serial, Ref("a"))
+    assert t != chain(Parallel, Atom("a"))
+    assert format_term(chain(Parallel, Ref("p"))).endswith("a || a || p")
