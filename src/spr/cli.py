@@ -10,14 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from .decision import (
     CapExceeded,
-    DecisionResult,
     bound_cardinality,
-    emptiness_witness,
     filter_grammar,
     inclusion,
     intersection_empty,
@@ -105,21 +102,8 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_empty(args) -> int:
-    t0 = time.perf_counter()
-    g = _load(args.grammar)
-    effort: dict = {}
-    wit = emptiness_witness(g, effort)  # None exactly when no axiom is productive
-    stats = {
-        "profiles_explored": effort["settled"],
-        "iterations": effort["pops"],
-        "wall_ms": (time.perf_counter() - t0) * 1000.0,
-    }
-    return _verdict(
-        args,
-        DecisionResult(wit is None, wit, stats),
-        "true",
-        "false: witness {witness}",
-    )
+    result = intersection_empty([_load(args.grammar)], cap=args.cap)
+    return _verdict(args, result, "true", "false: witness {witness}")
 
 
 def _cmd_intersect(args) -> int:
@@ -194,7 +178,6 @@ def run(argv=None) -> int:
         "for series-parallel graph languages given by regular grammars",
     )
     ap.add_argument("--json", action="store_true", help="machine-readable output")
-    ap.add_argument("--seed", type=int, default=None, help="seed for randomized features")
     ap.add_argument(
         "--cap",
         type=int,

@@ -1,18 +1,19 @@
 """Decision procedures built on top of the profile recognizer.
 
 All of these reduce questions about infinite graph languages to finite
-saturations.  Emptiness, inclusion and filtering share one loop,
-``_lightest``: Knuth's lightest-derivation search, which evaluates every
-derivation of a grammar into a finite algebra and keeps an edge-minimal
-witness per (nonterminal, value).
+saturations, and every saturation is one loop, ``_lightest``: Knuth's
+lightest-derivation search, which evaluates every derivation of a grammar
+into a finite algebra and keeps an edge-minimal witness per (nonterminal,
+value).
 
 * ``minimal_graphs``: the loop over the one-point algebra, so the smallest
   derivable graph per nonterminal; ``is_empty`` asks whether an axiom has one.
 * ``derivable_values``: the loop over the profiles of another grammar, so
   for every nonterminal all profiles of graphs it derives, each with an
   edge-minimal witness.  Inclusion and filtering are read off from this.
-* ``intersection_empty``: a search over tuples of profiles, closed under the
-  free serial and parallel operations.
+* ``intersection_empty``: the loop over the first grammar's derivations in
+  the product of the later grammars' profile algebras; it stops once the edge
+  layer of the first common graph is finished.
 * ``bound_cardinality``: a closed-form bound on how many distinct profiles a
   grammar admits; reachability saturations stay below it.
 """
@@ -30,6 +31,7 @@ from typing import Optional
 
 from .grammar import Grammar, GrammarError, RuleFree, rule_rhs_term
 from .recognizer import (
+    EMPTY_SPROFILE,
     RecognizerCtx,
     accepts,
     bridge_profile,
@@ -85,7 +87,7 @@ def _point(*_):
     """Every action of the one-point algebra: all graphs evaluate to None."""
 
 
-def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None) -> dict:
+def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None, goal=None) -> dict:
     """For every nonterminal of ``g``: each value its derivations take in the
     algebra given by ``atom(label)``, ``ser(a, b)`` and ``par(a, b)``, mapped
     to an edge-minimal witness graph.
@@ -97,6 +99,11 @@ def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None) -> dict:
     fixed to the new value take only older values).  ``stats`` receives the
     values ``settled`` and the heap ``pops``; more than ``cap`` settled
     values raise :class:`CapExceeded`.
+
+    With ``goal``, the first settled (x, value) with ``goal(x, value)`` fixes
+    an edge limit: the loop finishes that edge layer, so every value of at
+    most that many edges is settled as in the full search, and stops.  The
+    cap no longer applies once the goal is met.
     """
     bodies = [(r.lhs, rule_rhs_term(r)) for r in g.rules]
     occs = []
@@ -125,16 +132,20 @@ def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None) -> dict:
         if not names:
             push(i, ())
     total = pops = 0
-    while heap:
-        _, _, x, value, wit = heapq.heappop(heap)
+    limit = math.inf  # edges of the first value meeting the goal
+    while heap and heap[0][0] <= limit:
+        edges, _, x, value, wit = heapq.heappop(heap)
         pops += 1
         pool = settled[x]
         if value in pool:
             continue
         pool[value] = wit
         total += 1
-        if cap is not None and total > cap:
-            raise CapExceeded(cap)
+        if limit == math.inf:
+            if goal is not None and goal(x, value):
+                limit = edges
+            elif cap is not None and total > cap:
+                raise CapExceeded(cap)
         full = list(pool.items())
         old, new = full[:-1], full[-1:]
         for i, positions in uses[x]:
@@ -164,22 +175,35 @@ def is_empty(g: Grammar) -> bool:
     return not (set(g.axioms) & productive_nonterminals(g))
 
 
-def minimal_graphs(g: Grammar, stats: Optional[dict] = None) -> dict:
-    """Edge-minimal derivable graph for each productive nonterminal.  When
-    given, ``stats`` receives the effort: nonterminals ``settled`` and heap
-    ``pops``."""
-    values = _lightest(g, _point, _point, _point, stats=stats)
+def minimal_graphs(g: Grammar) -> dict:
+    """Edge-minimal derivable graph for each productive nonterminal."""
+    values = _lightest(g, _point, _point, _point)
     return {x: vs[None] for x, vs in values.items() if vs}
 
 
-def emptiness_witness(g: Grammar, stats: Optional[dict] = None) -> Optional[SPGraph]:
-    """An edge-minimal graph of the language, or None when empty
-    (``stats`` as for :func:`minimal_graphs`)."""
-    best = minimal_graphs(g, stats)
+def emptiness_witness(g: Grammar) -> Optional[SPGraph]:
+    """An edge-minimal graph of the language, or None when empty."""
+    best = minimal_graphs(g)
     found = [best[x] for x in g.axioms if x in best]
-    if not found:
-        return None
-    return min(found, key=lambda w: (w.edges, w.key))
+    return min(found, key=_lightness, default=None)
+
+
+def _lightness(w: SPGraph):
+    """How witnesses are ranked: fewest edges, then the canonical key."""
+    return w.edges, w.key
+
+
+def _verdict(values: dict, axioms, found, effort: dict, t0: float) -> DecisionResult:
+    """Read a decision off the loop's ``values``: it holds when no value of an
+    axiom is ``found``, and fails with the lightest witness of those that are.
+    ``effort`` is what :func:`_lightest` put in its ``stats``."""
+    hits = [w for x in axioms for v, w in values[x].items() if found(v)]
+    stats = {
+        "profiles_explored": effort["settled"],
+        "iterations": effort["pops"],
+        "wall_ms": (time.perf_counter() - t0) * 1000.0,
+    }
+    return DecisionResult(not hits, min(hits, key=_lightness, default=None), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -215,69 +239,45 @@ def inclusion(g1: Grammar, g2: Grammar, cap: Optional[int] = None) -> DecisionRe
     ctx2 = build_ctx(g2)
     effort: dict = {}
     values = derivable_values(g1, ctx2, cap, effort)
-    stats = {"profiles_explored": effort["settled"], "iterations": effort["pops"]}
-    bad = []
-    for x in g1.axioms:
-        bad.extend(w for v, w in values[x].items() if not accepts(v, ctx2))
-    stats["wall_ms"] = (time.perf_counter() - t0) * 1000.0
-    if bad:
-        return DecisionResult(False, min(bad, key=lambda w: (w.edges, w.key)), stats)
-    return DecisionResult(True, None, stats)
+    return _verdict(values, g1.axioms, lambda v: not accepts(v, ctx2), effort, t0)
 
 
 def intersection_empty(grammars, cap: Optional[int] = None) -> DecisionResult:
     """Do the given languages share no graph?  Returns (empty, witness) with
-    an edge-minimal common graph when they do share one."""
+    an edge-minimal common graph when they do share one.
+
+    The loop runs over the first grammar's derivations, valued in the product
+    of the later grammars' profile algebras; a label a later grammar does not
+    know gets the empty serial profile, which nothing makes accepting.  So
+    only the later grammars are compiled and must be regular: the first may
+    be free-form, as the left grammar of :func:`inclusion` may.  With one
+    grammar the product is the one-point algebra, and this is emptiness.
+    """
     t0 = time.perf_counter()
     grammars = list(grammars)
     if not grammars:
         raise ValueError("need at least one grammar")
-    ctxs = [build_ctx(g) for g in grammars]
-    common = set(grammars[0].alphabet)
-    for g in grammars[1:]:
-        common &= set(g.alphabet)
-    settled: dict = {}
-    best: dict = {}
-    heap: list = []
-    tick = itertools.count()
-    pops = 0
+    first, *rest = grammars
+    ctxs = [build_ctx(g) for g in rest]
+    axioms = set(first.axioms)
 
-    def done(holds, wit):
-        stats = {
-            "profiles_explored": len(settled),
-            "iterations": pops,
-            "wall_ms": (time.perf_counter() - t0) * 1000.0,
-        }
-        return DecisionResult(holds, wit, stats)
+    def atom(a):
+        return tuple(ctx.bridge_profiles.get(a, EMPTY_SPROFILE) for ctx in ctxs)
 
-    def push(value, wit):
-        if wit.edges < best.get(value, math.inf):
-            best[value] = wit.edges
-            heapq.heappush(heap, (wit.edges, next(tick), value, wit))
+    def ser(u, v):
+        return tuple(op_serial(x, y, ctx) for ctx, x, y in zip(ctxs, u, v))
 
-    for a in sorted(common):
-        push(tuple(ctx.bridge_profiles[a] for ctx in ctxs), Bridge(a))
-    while heap:
-        _, _, value, wit = heapq.heappop(heap)
-        pops += 1
-        if value in settled:
-            continue
-        settled[value] = wit
-        if all(accepts(h, ctx) for ctx, h in zip(ctxs, value)):
-            return done(False, wit)
-        if cap is not None and len(settled) > cap:
-            raise CapExceeded(cap)
-        for v2, w2 in list(settled.items()):
-            for (va, wa), (vb, wb) in (((value, wit), (v2, w2)), ((v2, w2), (value, wit))):
-                push(
-                    tuple(op_serial(x, y, ctx) for ctx, x, y in zip(ctxs, va, vb)),
-                    compose_serial(wa, wb),
-                )
-            push(
-                tuple(op_parallel(x, y, ctx) for ctx, x, y in zip(ctxs, value, v2)),
-                compose_parallel(wit, w2),
-            )
-    return done(True, None)
+    def par(u, v):
+        return tuple(op_parallel(x, y, ctx) for ctx, x, y in zip(ctxs, u, v))
+
+    def common(value):
+        return all(accepts(h, ctx) for ctx, h in zip(ctxs, value))
+
+    effort: dict = {}
+    values = _lightest(
+        first, atom, ser, par, cap, effort, lambda x, value: x in axioms and common(value)
+    )
+    return _verdict(values, first.axioms, common, effort, t0)
 
 
 def filter_grammar(
@@ -296,7 +296,7 @@ def filter_grammar(
     values = derivable_values(g1, ctx2, cap)
     vname = {}
     for x in g1.pnames + g1.snames:
-        ordered = sorted(values[x].items(), key=lambda vw: (vw[1].edges, vw[1].key))
+        ordered = sorted(values[x].items(), key=lambda vw: _lightness(vw[1]))
         vname[x] = {v: f"{x}$v{i}" for i, (v, _) in enumerate(ordered)}
 
     atom, ser, par = _profile_ops(ctx2)

@@ -254,13 +254,6 @@ class Grammar:
 
     # -- small conveniences --------------------------------------------------
 
-    def kind(self, name: str) -> str:
-        if name in self.pnames:
-            return "P"
-        if name in self.snames:
-            return "S"
-        raise GrammarError(f"unknown nonterminal {name!r}")
-
     def rules_for(self, name: str) -> list[Rule]:
         return [r for r in self.rules if r.lhs == name]
 

@@ -261,12 +261,16 @@ def tokenize(text: str) -> list[tuple[str, int, int]]:
 
 
 class _TermParser:
-    """Recursive-descent reader for the term syntax.
+    """Reader for the term syntax: ``||`` binds loosest, then ``.``, both
+    left-associative, with parentheses for grouping.
 
     ``names`` maps known nonterminal names to their kind; when given, bare
     identifiers found in it become ``Ref`` leaves and exponents ``x^k`` are
     accepted (expanded into k parallel copies) -- that extension exists only
     for grammar rule bodies, never for ground graph terms.
+
+    Open parentheses live on an explicit stack rather than the Python call
+    stack, so nesting depth is bounded by memory only.
     """
 
     def __init__(self, toks, names=None, exponents=False):
@@ -296,34 +300,37 @@ class _TermParser:
         return tok
 
     def parse(self) -> Term:
-        t = self.parallel()
-        if self.i < len(self.toks):
-            self.error(f"trailing input {self.peek()!r}")
-        return t
+        # one [parallel so far, serial so far] per open group, outermost first
+        groups: list[list] = [[None, None]]
+        while True:
+            if self.peek() == "(":
+                self.i += 1
+                groups.append([None, None])
+                continue
+            t = self.leaf()
+            while True:  # t ends a factor: close what it ends
+                g = groups[-1]
+                g[1] = t if g[1] is None else Serial(g[1], t)
+                tok = self.peek()
+                if tok == ".":
+                    break
+                g[0] = g[1] if g[0] is None else Parallel(g[0], g[1])
+                g[1] = None
+                if tok == "||":
+                    break
+                if len(groups) == 1:
+                    if tok is not None:
+                        self.error(f"trailing input {tok!r}")
+                    return g[0]
+                if tok != ")":
+                    self.error("expected ')'")
+                self.i += 1
+                groups.pop()
+                t = g[0]
+            self.i += 1  # the operator before the next factor
 
-    def parallel(self) -> Term:
-        t = self.serial()
-        while self.peek() == "||":
-            self.take()
-            t = Parallel(t, self.serial())
-        return t
-
-    def serial(self) -> Term:
-        t = self.factor()
-        while self.peek() == ".":
-            self.take()
-            t = Serial(t, self.factor())
-        return t
-
-    def factor(self) -> Term:
+    def leaf(self) -> Term:
         tok = self.peek()
-        if tok == "(":
-            self.take()
-            t = self.parallel()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.take()
-            return t
         if tok is None:
             self.error("unexpected end of input")
         if not NAME_RE.match(tok):

@@ -78,6 +78,17 @@ p -> s^2
 s -> a
 """
 
+# Chains a . a . ... . a of even length, by a free-form (non-regular) rule.
+EVEN_CHAIN_TEXT = """\
+alphabet: a
+pnonterminals: p
+snonterminals: s
+axioms: s
+rules:
+s -> a . s . a
+s -> a . a
+"""
+
 # No derivable graph at all (the only S-rule never terminates).
 EMPTY_TEXT = """\
 alphabet: a

@@ -8,6 +8,7 @@ from conftest import (
     CHAIN_TEXT,
     EMPTY_TEXT,
     EVEN_BUNDLE_TEXT,
+    EVEN_CHAIN_TEXT,
     GA_TEXT,
     GAB_TEXT,
     UNIV_TEXT,
@@ -164,6 +165,16 @@ def test_intersect_shared_graph(gfile, capsys):
     assert capsys.readouterr().out == "false: witness a || a\n"
 
 
+def test_intersect_decides_a_free_form_first_grammar(gfile, capsys):
+    even, chain = gfile(EVEN_CHAIN_TEXT), gfile(CHAIN_TEXT, "h.spg")
+    assert run(["intersect", even, chain]) == 1
+    assert capsys.readouterr().out == "false: witness a . a\n"
+    assert run(["intersect", even, gfile(BUNDLE_TEXT, "b.spg")]) == 0
+    # later grammars are compiled into recognizers, so they must be regular
+    assert run(["intersect", chain, even]) == 2
+    assert "not a regular grammar" in capsys.readouterr().err
+
+
 def test_include_holds(gfile, capsys):
     assert run(["include", "-l", gfile(GA_TEXT), "-r", gfile(GAB_TEXT, "h.spg")]) == 0
     assert capsys.readouterr().out == "holds\n"
@@ -239,8 +250,11 @@ def test_gen_worstcase_emits_a_parsable_grammar(capsys):
     assert len(g.rules) == 113
 
 
-def test_seed_flag_is_accepted(gfile, capsys):
-    assert run(["--seed", "42", "member", "-g", gfile(GA_TEXT), "-t", "a"]) == 0
+def test_seed_flag_is_rejected(gfile, capsys):
+    # --seed was parsed but changed nothing; it is no longer an option
+    with pytest.raises(SystemExit) as exc:
+        run(["--seed", "42", "member", "-g", gfile(GA_TEXT), "-t", "a"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +334,13 @@ def test_empty_reports_its_effort(gfile, capsys):
 # ---------------------------------------------------------------------------
 # deep and long rule bodies
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("op", [".", "||"])
+def test_member_of_a_deeply_nested_term(gfile, capsys, op):
+    term = f"a {op} (" * 4999 + "a" + ")" * 4999
+    assert run(["member", "-g", gfile(UNIV_TEXT), "-t", term]) == 0
+    assert capsys.readouterr().out == "true\n"
 
 
 def test_deep_exponents_do_not_crash(gfile, capsys):

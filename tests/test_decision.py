@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import EVEN_CHAIN_TEXT
 from spr.decision import (
     CapExceeded,
     DecisionResult,
@@ -14,7 +15,7 @@ from spr.decision import (
     productive_nonterminals,
 )
 from spr.grammar import GrammarError, parse_grammar, validate_regular
-from spr.oracle import gen_random_grammar, lang_from, language_upto
+from spr.oracle import gen_random_grammar, gen_worstcase, lang_from, language_upto
 from spr.recognizer import accepts, build_ctx, eval_graph, member, reachable_profiles
 from spr.spgraph import format_graph
 
@@ -139,6 +140,62 @@ def test_empty_intersections(univ, chain, bundle, empty_grammar):
     assert not (language_upto(chain, 5) & language_upto(bundle, 5))
 
 
+# Chains of 3k + 1 edges, k >= 1.
+CHAIN_3K1_TEXT = """\
+alphabet: a
+pnonterminals: p
+snonterminals: s t u
+axioms: s
+rules:
+s -> p . t
+t -> p . u
+u -> p . s
+u -> p . p
+p -> a
+"""
+
+
+def check_intersection(grammars, empty_upto=6):
+    """``intersection_empty`` against enumeration: a witness lies in every
+    language and no common graph has fewer edges; an empty verdict has no
+    common graph of up to ``empty_upto`` edges."""
+    res = intersection_empty(grammars)
+    n = empty_upto if res.holds else res.witness.edges
+    common = set.intersection(*(language_upto(g, n) for g in grammars))
+    if res.holds:
+        assert res.witness is None and not common
+    else:
+        assert res.witness in common
+        assert all(c.edges == n for c in common)
+    return res
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_intersection_agrees_with_enumeration(seed):
+    g, h = gen_random_grammar(seed), gen_random_grammar(1000 + seed)
+    assert check_intersection([g, h]).holds == check_intersection([h, g]).holds
+
+
+def test_intersection_of_a_free_form_first_grammar(chain, bundle):
+    even = parse_grammar(EVEN_CHAIN_TEXT)
+    assert not validate_regular(even).ok
+    assert format_graph(check_intersection([even, chain]).witness) == "a . a"
+    assert check_intersection([even, bundle]).holds
+    res = check_intersection([even, parse_grammar(CHAIN_3K1_TEXT)])
+    assert format_graph(res.witness) == "a . a . a . a"
+    # only the first grammar may be free-form
+    with pytest.raises(GrammarError, match="not a regular grammar"):
+        intersection_empty([chain, even])
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_intersection_of_one_grammar_is_emptiness(seed):
+    g = gen_random_grammar(seed)
+    res = intersection_empty([g])
+    assert res.witness == emptiness_witness(g)
+    assert res.holds == is_empty(g)
+
+
 def test_intersection_of_one_grammar_is_its_language(chain):
     res = intersection_empty([chain])
     assert not res.holds
@@ -156,9 +213,17 @@ def test_intersection_requires_a_grammar():
 
 
 def test_caps_abort_saturation(chain, bundle, even_bundle):
+    # the search over chain's derivations settles exactly two states
     with pytest.raises(CapExceeded) as exc:
-        intersection_empty([chain, bundle], cap=2)
-    assert exc.value.cap == 2
+        intersection_empty([chain, bundle], cap=1)
+    assert exc.value.cap == 1
+    assert intersection_empty([chain, bundle], cap=2).holds
+    # a common graph found within the cap is returned, never a cap error
+    wc2 = gen_worstcase(2)
+    res = intersection_empty([wc2, wc2], cap=2000)
+    assert not res.holds
+    assert res.witness.edges == 11
+    assert member(res.witness, wc2)
     with pytest.raises(CapExceeded):
         inclusion(bundle, even_bundle, cap=1)
 

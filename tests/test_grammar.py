@@ -217,11 +217,7 @@ def test_duplicate_rules_collapse(univ):
     assert doubled == univ
 
 
-def test_kind_and_rules_for(univ):
-    assert univ.kind("p") == "P"
-    assert univ.kind("s") == "S"
-    with pytest.raises(GrammarError, match="unknown nonterminal"):
-        univ.kind("a")
+def test_rules_for(univ):
     assert univ.rules_for("p") == [
         r for r in univ.rules if r.lhs == "p"
     ]

@@ -189,6 +189,21 @@ def test_parse_error_location():
     assert exc.value.col == 1
 
 
+def nested_text(op, depth):
+    """``a op (a op ( ... a))`` with ``depth`` leaves."""
+    return f"a {op} (" * (depth - 1) + "a" + ")" * (depth - 1)
+
+
+@pytest.mark.parametrize("op,node", [(".", SNode), ("||", PNode)])
+def test_parse_deep_nesting(op, node):
+    # far beyond the default recursion limit if the parser recursed per group
+    g = parse_graph(nested_text(op, 5000))
+    assert isinstance(g, node)
+    assert g.edges == len(g.children) == 5000
+    with pytest.raises(ParseError, match="expected '\\)'"):
+        parse_graph(nested_text(op, 5000)[:-1])
+
+
 def test_comments_and_whitespace():
     assert parse_graph("a . b # trailing comment") == parse_graph("a.b")
     assert parse_graph("a\n. b") == parse_graph("a . b")
