@@ -8,6 +8,7 @@ command to a single machine-readable object on stdout.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -172,17 +173,19 @@ def _cmd_gen_worstcase(args) -> int:
 
 
 def run(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="spr",
-        description="decide membership, emptiness, intersection and inclusion "
-        "for series-parallel graph languages given by regular grammars",
-    )
-    ap.add_argument("--json", action="store_true", help="machine-readable output")
-    ap.add_argument(
+    common = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    common.add_argument("--json", action="store_true", help="machine-readable output")
+    common.add_argument(
         "--cap",
         type=int,
         default=1_000_000,
         help="abort saturations beyond this many states (default 1000000)",
+    )
+    ap = argparse.ArgumentParser(
+        prog="spr",
+        description="decide membership, emptiness, intersection and inclusion "
+        "for series-parallel graph languages given by regular grammars",
+        parents=[common],
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -232,6 +235,16 @@ def run(argv=None) -> int:
     p.add_argument("-k", type=int, required=True)
     p.set_defaults(handler=_cmd_gen_worstcase)
 
+    # argparse would read the value of an unknown option before the
+    # subcommand as the subcommand, so those options are looked for first
+    argv = sys.argv[1:] if argv is None else list(argv)
+    head = list(itertools.takewhile(lambda tok: tok not in sub.choices, argv))
+    try:
+        unknown = [tok for tok in common.parse_known_args(head)[1] if tok.startswith("-")]
+    except argparse.ArgumentError:
+        unknown = []  # a bad value of a known option: the full parse reports it
+    if unknown and not {"-h", "--help"} & set(unknown):
+        ap.error(f"unrecognized arguments: {' '.join(unknown)}")
     args = ap.parse_args(argv)
     try:
         return args.handler(args)

@@ -31,7 +31,6 @@ from typing import Optional
 
 from .grammar import Grammar, GrammarError, RuleFree, rule_rhs_term
 from .recognizer import (
-    EMPTY_SPROFILE,
     RecognizerCtx,
     accepts,
     bridge_profile,
@@ -261,8 +260,11 @@ def intersection_empty(grammars, cap: Optional[int] = None) -> DecisionResult:
     ctxs = [build_ctx(g) for g in rest]
     axioms = set(first.axioms)
 
+    # packed over each context's own space, as everything the loop composes
+    empties = [ctx.sspace.make(()) for ctx in ctxs]
+
     def atom(a):
-        return tuple(ctx.bridge_profiles.get(a, EMPTY_SPROFILE) for ctx in ctxs)
+        return tuple(ctx.bridge_profiles.get(a, e) for ctx, e in zip(ctxs, empties))
 
     def ser(u, v):
         return tuple(op_serial(x, y, ctx) for ctx, x, y in zip(ctxs, u, v))

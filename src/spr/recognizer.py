@@ -6,7 +6,14 @@ membership of arbitrarily large graphs is decided by one bottom-up sweep:
 
 * an ``SProfile`` (for bridges and serial graphs) is the set of pairs
   ``(s, q)`` meaning S-nonterminal ``s`` derives the whole graph followed by
-  remainder nonterminal ``q``; ``q is None`` marks a complete derivation;
+  remainder nonterminal ``q``; ``q is None`` (⊥) marks a complete derivation.
+  The recognizer packs it over its context's ``SSpace``, where remainder
+  ``j`` runs over the S-names, then the P-names, then ⊥: the profile is the
+  flat tuple ``(i, row_i, ...)`` of its nonzero rows, and bit ``j`` of the
+  ``int`` ``row_i`` stands for the pair (S-name ``i``, remainder ``j``).
+  ``SProfile(pairs)`` is the exchange form that the view oracles build and
+  ``.pairs`` reads back from any profile; it is packed where it enters the
+  recognizer.
 * a ``PProfile`` (for parallel graphs) maps every P-nonterminal ``p`` to the
   reduced sum of monomials over p's known S-variables, one variable per
   parallel component, describing which parallel layers p can still build.
@@ -15,7 +22,17 @@ membership of arbitrarily large graphs is decided by one bottom-up sweep:
 
 The two views convert into each other: ``par_map`` reads a serial graph as a
 single parallel component, ``seq_map`` turns a parallel graph's views into
-chain steps through the serial rules.
+chain steps through the serial rules.  A profile computes each view the
+first time it is asked for and keeps it: a serial profile its rows split
+into S-remainders and P-remainder bits (its side of ``op_serial`` on the
+left), its rows indexed by S-name (on the right), its ⊥ rows and its
+``par_map``; a parallel profile its finished mask (the P-names that accept
+it as a finished layer, as remainder bits) and its ``seq_map``.
+``op_serial`` is then composition of relations: every row of the left
+profile ORs the right profile's rows that its S-remainders name, and gains
+⊥ when one of its P-remainders is in the right profile's finished mask.
+Views depend on the context, so a profile keeps them only for the context
+whose ``SSpace`` it is packed over; any other profile is packed anew first.
 
 Everything is computed on a normalized, alternative-form working copy of the
 grammar (built once per ``RecognizerCtx``); languages are unchanged by that
@@ -51,6 +68,7 @@ from .termalg import (
     Monomial,
     TermNF,
     TermSpace,
+    _set_bits,
     linear_to_nf,
     term_mul,
     term_space,
@@ -59,28 +77,70 @@ from .termalg import (
 Pair = tuple[str, Optional[str]]
 
 
-@dataclass(frozen=True)
 class SProfile:
-    pairs: frozenset
+    """A serial profile, packed (``rows`` over ``space``) or in exchange form
+    (``rows`` and ``space`` are ``None``); see the module docstring.  Two
+    profiles are equal when their pairs are.  Like ``TermNF`` and
+    ``PackedTerm``, the two forms hash differently: sets and dict keys must
+    hold one form only."""
+
+    __slots__ = ("rows", "space", "_pairs", "_left", "_heads", "_done", "_par")
+
+    def __init__(self, pairs: frozenset):
+        self.rows = self.space = None
+        self._pairs = frozenset(pairs)
+
+    @property
+    def pairs(self) -> frozenset:
+        if self._pairs is None:
+            self._pairs = self.space.decode(self.rows)
+        return self._pairs
+
+    def __eq__(self, other):
+        if type(other) is not SProfile:
+            return NotImplemented
+        a, b = self.space, other.space
+        if a is not None and b is not None and (a is b or a.names == b.names):
+            return self.rows == other.rows
+        return self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash(self._pairs if self.rows is None else self.rows)
 
     def __str__(self):
         items = sorted(self.pairs, key=lambda pq: (pq[0], pq[1] or ""))
         inner = ", ".join(f"({s}, {'⊥' if q is None else q})" for s, q in items)
         return "{" + inner + "}"
 
+    def __repr__(self):
+        return f"SProfile({self})"
 
-@dataclass(frozen=True)
+
 class PProfile:
-    entries: tuple  # ((p, term), ...) in grammar P-order; see RecognizerCtx.spaces
+    """A parallel profile: ``entries`` is ``((p, term), ...)`` in grammar
+    P-order (see ``RecognizerCtx.spaces``).  ``space`` is the ``SSpace`` of
+    the context whose views the profile keeps, ``None`` for a profile built
+    outside the recognizer."""
 
-    def get(self, p: str):
-        for name, t in self.entries:
-            if name == p:
-                return t
-        raise KeyError(p)
+    __slots__ = ("entries", "space", "_fin", "_seq")
+
+    def __init__(self, entries: tuple):
+        self.entries = entries
+        self.space = None
+
+    def __eq__(self, other):
+        if type(other) is not PProfile:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
 
     def __str__(self):
         return "; ".join(f"{p}: {t}" for p, t in self.entries)
+
+    def __repr__(self):
+        return f"PProfile({self})"
 
 
 Profile = Union[SProfile, PProfile]
@@ -96,6 +156,184 @@ def profile_to_json(h: Profile):
     return {p: str(t) for p, t in h.entries}
 
 
+_new = object.__new__
+
+
+class SSpace:
+    """The remainder index of one context's serial profiles, and the tables
+    that compute the views of its profiles as bit operations.
+
+    Remainder ``j`` is ``names[j]``: the S-names, the P-names, then ``None``
+    for ⊥.  ``layers`` holds per P-name its term space, its accepting mask,
+    its remainder bit, and the bits its S-variables set in its terms indexed
+    by S-name (``None`` when its terms stay ``TermNF``s); ``steps[j]`` holds
+    the pairs ``(i, bit)`` of the serial rules headed by P-name ``j``.
+    """
+
+    def __init__(self, work: Grammar, spaces: dict, accepting: dict, serial_rules):
+        snames, pnames = tuple(work.snames), tuple(work.pnames)
+        self.names = snames + pnames + (None,)
+        index = self.index = {q: j for j, q in enumerate(self.names)}
+        self.ns = ns = len(snames)
+        self.s_bits = (1 << ns) - 1
+        self.p_bits = ((1 << len(pnames)) - 1) << ns
+        self.bot = 1 << index[None]
+        self.s_axioms = sum(1 << index[x] for x in work.axioms if index[x] < ns)
+        self.p_axioms = sum(1 << index[x] for x in work.axioms if index[x] >= ns)
+        self.spaces = spaces
+        self.layers = []
+        for p in pnames:
+            space = spaces[p]
+            if type(space) is TermSpace:
+                vb = tuple(space.var_bits.get(s, 0) for s in snames)
+            else:
+                vb = None
+            self.layers.append((p, space, accepting[p], 1 << index[p], vb))
+        steps = [[] for _ in self.names]
+        for lhs, head, rem in serial_rules:
+            steps[index[head]].append((index[lhs], 1 << index[rem]))
+        self.steps = tuple(map(tuple, steps))
+        self._indices: dict = {}  # S-remainder mask -> its indices, shared by left views
+
+    # -- building and reading packed profiles ---------------------------------
+
+    def make(self, rows: tuple) -> SProfile:
+        """The profile of the flat row tuple ``rows``, packed over this space."""
+        h = _new(SProfile)
+        h.rows = rows
+        h.space = self
+        h._pairs = h._left = h._heads = h._done = h._par = None
+        return h
+
+    def from_dense(self, rows: list) -> SProfile:
+        """The profile with row ``rows[i]`` for S-name ``i``."""
+        flat = []
+        for i, r in enumerate(rows):
+            if r:
+                flat += (i, r)
+        return self.make(tuple(flat))
+
+    def pack(self, pairs) -> SProfile:
+        index = self.index
+        rows = [0] * self.ns
+        for s, q in pairs:
+            rows[index[s]] |= 1 << index[q]
+        return self.from_dense(rows)
+
+    def decode(self, rows: tuple) -> frozenset:
+        names = self.names
+        return frozenset(
+            (names[rows[k]], names[j])
+            for k in range(0, len(rows), 2)
+            for j in _set_bits(rows[k + 1])
+        )
+
+    def pprofile(self, entries: tuple) -> PProfile:
+        t = _new(PProfile)
+        t.entries = entries
+        t.space = self
+        t._fin = t._seq = None
+        return t
+
+    def own(self, h: Profile) -> Profile:
+        """``h`` packed over this space: ``h`` itself when it already is,
+        else a copy, so that no view is kept on a profile another context
+        can see.  A parallel copy holds its terms in the representation
+        ``spaces`` asks for, so equal profiles hash equal."""
+        if h.space is self:
+            return h
+        if type(h) is SProfile:
+            return self.pack(h.pairs)
+        spaces = self.spaces
+        return self.pprofile(tuple(
+            (p, spaces[p].encode(t) if type(t) is TermNF and type(spaces[p]) is TermSpace else t)
+            for p, t in h.entries
+        ))
+
+    # -- the views of profiles packed over this space ---------------------------
+
+    def left(self, h: SProfile) -> tuple:
+        """Flat triples, one per row: the S-name's index, the row's
+        S-remainder indices and its P-remainder bits."""
+        v = h._left
+        if v is None:
+            rows, s_bits, p_bits = h.rows, self.s_bits, self.p_bits
+            indices = self._indices
+            out = []
+            for k in range(0, len(rows), 2):
+                m = rows[k + 1] & s_bits
+                ss = indices.get(m)
+                if ss is None:
+                    ss = indices[m] = tuple(_set_bits(m))
+                out += (rows[k], ss, rows[k + 1] & p_bits)
+            v = h._left = tuple(out)
+        return v
+
+    def heads(self, h: SProfile) -> list:
+        """The rows indexed by S-name, 0 for an S-name without pairs."""
+        v = h._heads
+        if v is None:
+            v = h._heads = [0] * self.ns
+            rows = h.rows
+            for k in range(0, len(rows), 2):
+                v[rows[k]] = rows[k + 1]
+        return v
+
+    def done(self, h: SProfile) -> int:
+        """The S-names that derive the whole graph, as a bitmask."""
+        v = h._done
+        if v is None:
+            v, rows, bot = 0, h.rows, self.bot
+            for k in range(0, len(rows), 2):
+                if rows[k + 1] & bot:
+                    v |= 1 << rows[k]
+            h._done = v
+        return v
+
+    def par(self, h: SProfile) -> PProfile:
+        """``par_map`` of ``h``."""
+        v = h._par
+        if v is None:
+            done = list(_set_bits(self.done(h)))
+            entries = []
+            for p, space, _, _, vb in self.layers:
+                if vb is None:
+                    names = {self.names[i] for i in done}
+                    lin = LinearTerm.of(space.keys() & names)
+                    entries.append((p, linear_to_nf(lin, space)))
+                else:
+                    bits = 0
+                    for i in done:
+                        bits |= vb[i]
+                    entries.append((p, space.cls(bits)))
+            v = h._par = self.pprofile(tuple(entries))
+        return v
+
+    def finished(self, t: PProfile) -> int:
+        """The P-names that accept ``t`` as a finished layer, as remainder
+        bits."""
+        v = t._fin
+        if v is None:
+            v = 0
+            for (_, _, acc, bit, _), (_, term) in zip(self.layers, t.entries):
+                if acc & term:
+                    v |= bit
+            t._fin = v
+        return v
+
+    def seq(self, t: PProfile) -> SProfile:
+        """``seq_map`` of ``t``, packed."""
+        v = t._seq
+        if v is None:
+            rows = [0] * self.ns
+            steps = self.steps
+            for j in _set_bits(self.finished(t)):
+                for i, bit in steps[j]:
+                    rows[i] |= bit
+            v = t._seq = self.from_dense(rows)
+        return v
+
+
 @dataclass
 class RecognizerCtx:
     """Preprocessed grammar tables shared by all profile operations."""
@@ -104,18 +342,15 @@ class RecognizerCtx:
     grammar: Grammar  # normalized alternative working form
     table: BasePeriodTable
     contexts: dict  # p -> variable classes for nf
-    varsets: dict  # p -> frozenset of variables p knows
     # p -> TermSpace its terms are packed over, or p's variable classes when
     # the box exceeds termalg.BOX_LIMIT and its terms stay TermNFs
     spaces: dict
     # p -> the monomials finishing a derivation: a bitmask over p's space
     # (a frozenset of monomials for TermNF terms); ``accepting[p] & t`` tests
     accepting: dict
-    serial_rules: tuple  # (lhs, head_p, remainder) for all C- and D-rules
+    sspace: SSpace  # the index serial profiles are packed over
     bridge_profiles: dict  # label -> SProfile
     pset: frozenset
-    s_axioms: tuple
-    p_axioms: tuple
 
 
 def build_ctx(g: Grammar) -> RecognizerCtx:
@@ -143,7 +378,6 @@ def build_ctx(g: Grammar) -> RecognizerCtx:
 
     table = compute_base_period(work)
     contexts = {p: table.context(p) for p in work.pnames}
-    varsets = {p: frozenset(contexts[p]) for p in work.pnames}
     spaces = {p: term_space(contexts[p]) or contexts[p] for p in work.pnames}
 
     accepting: dict = {p: set() for p in work.pnames}
@@ -151,7 +385,7 @@ def build_ctx(g: Grammar) -> RecognizerCtx:
     for r in work.rules:
         if isinstance(r, RuleF):
             falls[r.s].add(r.a)
-    serial_rules = []
+    serial_rules = []  # (lhs, head_p, remainder) for all C- and D-rules
     for r in work.rules:
         if isinstance(r, RuleB):
             m = Monomial.of(r.body)
@@ -163,6 +397,8 @@ def build_ctx(g: Grammar) -> RecognizerCtx:
             serial_rules.append((r.s, r.p, r.s1))
         elif isinstance(r, RuleD):
             serial_rules.append((r.s, r.p1, r.p2))
+    accepting = {p: _accept_mask(ms, spaces[p]) for p, ms in accepting.items()}
+    sspace = SSpace(work, spaces, accepting, serial_rules)
 
     pbridge = defaultdict(set)  # p -> labels p derives as a lone edge
     for r in work.rules:
@@ -175,21 +411,18 @@ def build_ctx(g: Grammar) -> RecognizerCtx:
         for lhs, head, rem in serial_rules:
             if a in pbridge[head]:
                 pairs.add((lhs, rem))
-        bridges[a] = SProfile(frozenset(pairs))
+        bridges[a] = sspace.pack(pairs)
 
     return RecognizerCtx(
         source=g,
         grammar=work,
         table=table,
         contexts=contexts,
-        varsets=varsets,
         spaces=spaces,
-        accepting={p: _accept_mask(ms, spaces[p]) for p, ms in accepting.items()},
-        serial_rules=tuple(serial_rules),
+        accepting=accepting,
+        sspace=sspace,
         bridge_profiles=bridges,
         pset=frozenset(work.pnames),
-        s_axioms=tuple(x for x in work.axioms if x in set(work.snames)),
-        p_axioms=tuple(x for x in work.axioms if x in set(work.pnames)),
     )
 
 
@@ -215,40 +448,9 @@ def par_map(h: Profile, ctx: RecognizerCtx) -> PProfile:
     """Read any profile as a parallel one: for each p, the reduced sum of p's
     variables that derive the graph completely (parallel profiles pass
     through unchanged)."""
-    if isinstance(h, PProfile):
-        return _native(h, ctx)
-    done = [s for s, q in h.pairs if q is None]
-    entries = []
-    for p in ctx.grammar.pnames:
-        space = ctx.spaces[p]
-        if type(space) is TermSpace:
-            var_bits = space.var_bits
-            bits = 0
-            for s in done:
-                bits |= var_bits.get(s, 0)
-            entries.append((p, space.cls(bits)))
-        else:
-            lin = LinearTerm.of(ctx.varsets[p].intersection(done))
-            entries.append((p, linear_to_nf(lin, space)))
-    return PProfile(tuple(entries))
-
-
-def _native(h: PProfile, ctx: RecognizerCtx) -> PProfile:
-    """``h`` with every term in the representation ``ctx.spaces`` asks for.
-    Profiles assembled outside the recognizer (the view oracles) hold
-    ``TermNF``s; packing them here keeps equal profiles hashing equal."""
-    spaces = ctx.spaces
-    foreign = [p for p, t in h.entries if type(t) is TermNF and type(spaces[p]) is TermSpace]
-    if not foreign:
-        return h
-    return PProfile(tuple((p, spaces[p].encode(t) if p in foreign else t) for p, t in h.entries))
-
-
-def _finished(h: PProfile, ctx: RecognizerCtx) -> set:
-    """The P-nonterminals that accept the parallel profile ``h`` as a
-    finished layer."""
-    accepting = ctx.accepting
-    return {p for p, t in h.entries if accepting[p] & t}
+    sp = ctx.sspace
+    h = sp.own(h)
+    return sp.par(h) if type(h) is SProfile else h
 
 
 def seq_map(h: Profile, ctx: RecognizerCtx) -> frozenset:
@@ -257,42 +459,44 @@ def seq_map(h: Profile, ctx: RecognizerCtx) -> frozenset:
     already relations and pass through unchanged)."""
     if isinstance(h, SProfile):
         return h.pairs
-    done = _finished(_native(h, ctx), ctx)
-    return frozenset((lhs, rem) for lhs, head, rem in ctx.serial_rules if head in done)
+    sp = ctx.sspace
+    return sp.seq(sp.own(h)).pairs
 
 
 def op_parallel(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> PProfile:
     t1 = par_map(h1, ctx)
     t2 = par_map(h2, ctx)
+    spaces = ctx.spaces
     entries = tuple(
-        (p, term_mul(a, b, ctx.spaces[p]))
+        (p, term_mul(a, b, spaces[p]))
         for (p, a), (_, b) in zip(t1.entries, t2.entries)
     )
-    return PProfile(entries)
+    return ctx.sspace.pprofile(entries)
 
 
 def op_serial(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> SProfile:
-    r1 = seq_map(h1, ctx)
-    r2 = seq_map(h2, ctx)
-    by_head = defaultdict(set)
-    for s, q in r2:
-        by_head[s].add(q)
-    out = set()
-    t2 = None
-    for s, q in r1:
-        if q is None:
-            continue  # a finished derivation cannot absorb more graph
-        if q in ctx.pset:
-            # remainder is a P-nonterminal: it must derive the whole right
-            # part as one finished layer
-            if t2 is None:
-                t2 = par_map(h2, ctx)
-            if ctx.accepting[q] & t2.get(q):
-                out.add((s, None))
-        else:
-            for q2 in by_head.get(q, ()):
-                out.add((s, q2))
-    return SProfile(frozenset(out))
+    sp = ctx.sspace
+    h1, h2 = sp.own(h1), sp.own(h2)
+    r1 = h1 if type(h1) is SProfile else sp.seq(h1)
+    r2 = h2 if type(h2) is SProfile else sp.seq(h2)
+    heads = sp.heads(r2)
+    fin = None
+    out = []
+    left = iter(sp.left(r1))
+    for i, ss, pbits in zip(left, left, left):
+        row = 0
+        for j in ss:
+            row |= heads[j]
+        if pbits:
+            # a P-remainder must derive the whole right part as one
+            # finished layer
+            if fin is None:
+                fin = sp.finished(sp.par(h2) if type(h2) is SProfile else h2)
+            if pbits & fin:
+                row |= sp.bot
+        if row:
+            out += (i, row)
+    return sp.make(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +533,11 @@ def eval_graph(g: SPGraph, ctx: RecognizerCtx) -> Profile:
 
 
 def accepts(h: Profile, ctx: RecognizerCtx) -> bool:
-    if isinstance(h, SProfile):
-        return any((s, None) in h.pairs for s in ctx.s_axioms)
-    done = _finished(_native(h, ctx), ctx)
-    return any(p in done for p in ctx.p_axioms)
+    sp = ctx.sspace
+    h = sp.own(h)
+    if type(h) is SProfile:
+        return bool(sp.done(h) & sp.s_axioms)
+    return bool(sp.finished(h) & sp.p_axioms)
 
 
 def member(graph: SPGraph, g: Grammar, ctx: Optional[RecognizerCtx] = None) -> bool:

@@ -255,6 +255,24 @@ def test_seed_flag_is_rejected(gfile, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--seed", "42", "member", "-g", gfile(GA_TEXT), "-t", "a"])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["--cap", "x", "empty", "g.spg"], 2, "argument --cap: invalid int value: 'x'"),
+        (["--cap"], 2, "argument --cap: expected one argument"),
+        (["--json", "--bogus=1", "empty", "g.spg"], 2, "unrecognized arguments: --bogus=1"),
+        (["nosuchcommand"], 2, "invalid choice: 'nosuchcommand'"),
+        (["-h", "empty"], 0, ""),
+    ],
+)
+def test_options_before_the_subcommand(argv, code, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == code
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

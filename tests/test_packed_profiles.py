@@ -1,0 +1,224 @@
+"""Packed serial profiles against the pair-set algebra they replaced, and the
+monotonicity that antichain pruning would rely on."""
+
+import itertools
+import random
+
+import pytest
+
+from spr.grammar import RuleC, RuleD
+from spr.oracle import gen_random_grammar
+from spr.recognizer import (
+    EMPTY_SPROFILE,
+    PProfile,
+    SProfile,
+    accepts,
+    build_ctx,
+    op_parallel,
+    op_serial,
+    par_map,
+    reachable_profiles,
+    seq_map,
+)
+from spr.termalg import LinearTerm, TermNF, TermSpace, linear_to_nf, term_mul
+
+# ---------------------------------------------------------------------------
+# the reference: relations as sets of (s, q) pairs, terms as TermNFs
+# ---------------------------------------------------------------------------
+
+
+class PairSets:
+    """The profile algebra of one context with serial profiles as sets of
+    pairs, composed through a ``by_head`` dict, and parallel terms as
+    ``TermNF``s over the context mappings."""
+
+    def __init__(self, ctx):
+        work = ctx.grammar
+        self.pnames = work.pnames
+        self.pset = frozenset(work.pnames)
+        self.contexts = ctx.contexts
+        self.accepting = {
+            p: sp.decode(ctx.accepting[p]).monomials if type(sp) is TermSpace else ctx.accepting[p]
+            for p, sp in ctx.spaces.items()
+        }
+        self.serial_rules = [
+            (r.s, r.p, r.s1) if isinstance(r, RuleC) else (r.s, r.p1, r.p2)
+            for r in work.rules
+            if isinstance(r, (RuleC, RuleD))
+        ]
+        self.s_axioms = [x for x in work.axioms if x in work.snames]
+        self.p_axioms = [x for x in work.axioms if x in work.pnames]
+
+    def par_map(self, h) -> dict:
+        """p -> the monomials of p's term."""
+        if isinstance(h, PProfile):
+            return {p: frozenset(t.monomials) for p, t in h.entries}
+        done = {s for s, q in h.pairs if q is None}
+        return {
+            p: linear_to_nf(LinearTerm.of(set(self.contexts[p]) & done), self.contexts[p]).monomials
+            for p in self.pnames
+        }
+
+    def finished(self, h) -> set:
+        terms = self.par_map(h)
+        return {p for p in self.pnames if terms[p] & self.accepting[p]}
+
+    def seq_map(self, h) -> frozenset:
+        if isinstance(h, SProfile):
+            return h.pairs
+        done = self.finished(h)
+        return frozenset((lhs, rem) for lhs, head, rem in self.serial_rules if head in done)
+
+    def op_serial(self, h1, h2) -> frozenset:
+        by_head = {}
+        for s, q in self.seq_map(h2):
+            by_head.setdefault(s, set()).add(q)
+        out = set()
+        for s, q in self.seq_map(h1):
+            if q is None:
+                continue
+            if q in self.pset:
+                if q in self.finished(h2):
+                    out.add((s, None))
+            else:
+                out.update((s, q2) for q2 in by_head.get(q, ()))
+        return frozenset(out)
+
+    def op_parallel(self, h1, h2) -> dict:
+        t1, t2 = self.par_map(h1), self.par_map(h2)
+        return {
+            p: term_mul(TermNF(t1[p]), TermNF(t2[p]), self.contexts[p]).monomials
+            for p in self.pnames
+        }
+
+    def accepts(self, h) -> bool:
+        if isinstance(h, SProfile):
+            return any((s, None) in h.pairs for s in self.s_axioms)
+        return bool(self.finished(h) & set(self.p_axioms))
+
+    def saturate(self, bridges) -> set:
+        """The closure of ``bridges`` under both laws, as (kind, str) keys."""
+
+        def make(value, serial):
+            if serial:
+                return SProfile(value)
+            return PProfile(tuple((p, TermNF(value[p])) for p in self.pnames))
+
+        profiles = {key(h): h for h in bridges}
+        frontier = list(profiles.values())
+        while frontier:
+            known = list(profiles.values())
+            new = []
+            for x, y in itertools.chain.from_iterable(
+                ((x, y), (y, x)) for x in frontier for y in known
+            ):
+                for h in (make(self.op_serial(x, y), True), make(self.op_parallel(x, y), False)):
+                    if key(h) not in profiles:
+                        profiles[key(h)] = h
+                        new.append(h)
+            frontier = new
+        return set(profiles)
+
+
+def key(h):
+    return type(h).__name__, str(h)
+
+
+def terms(h) -> dict:
+    return {p: frozenset(t.monomials) for p, t in h.entries}
+
+
+def sample_profiles(ctx, cap=25):
+    return list(reachable_profiles(ctx, cap=cap).profiles) + list(ctx.bridge_profiles.values())
+
+
+# ---------------------------------------------------------------------------
+# packed against pair sets
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_packed_profiles_agree_with_pair_sets(seed):
+    ctx = build_ctx(gen_random_grammar(seed))
+    ref = PairSets(ctx)
+    profiles = sample_profiles(ctx)
+    # exchange-form copies, as the view oracles build them, and the shared
+    # empty profile: packed where they enter, never given this context's views
+    profiles += [SProfile(h.pairs) for h in profiles if isinstance(h, SProfile)][:5]
+    profiles.append(EMPTY_SPROFILE)
+    for h in profiles:
+        assert terms(par_map(h, ctx)) == ref.par_map(h)
+        assert seq_map(h, ctx) == ref.seq_map(h)
+        assert accepts(h, ctx) == ref.accepts(h)
+    for h1, h2 in itertools.product(profiles, repeat=2):
+        assert op_serial(h1, h2, ctx).pairs == ref.op_serial(h1, h2)
+        assert terms(op_parallel(h1, h2, ctx)) == ref.op_parallel(h1, h2)
+    # a profile packed anew is the same value, hashing the same
+    for h in profiles:
+        if isinstance(h, SProfile) and h.space is not None:
+            again = ctx.sspace.pack(h.pairs)
+            assert again == h and hash(again) == hash(h) and again.rows == h.rows
+
+
+@pytest.mark.parametrize("name", ["chain", "bundle", "even_bundle", "univ"])
+def test_full_saturations_match_the_pair_set_closure(name, request):
+    ctx = build_ctx(request.getfixturevalue(name))
+    ref = PairSets(ctx)
+    full = reachable_profiles(ctx)
+    assert full.saturated
+    want = ref.saturate([SProfile(h.pairs) for h in ctx.bridge_profiles.values()])
+    assert sorted(key(h) for h in full.profiles) == sorted(want)
+
+
+def test_views_stay_with_their_context(chain, univ):
+    # one exchange-form profile in two contexts: each packs its own copy
+    for ctx in (build_ctx(chain), build_ctx(univ), build_ctx(chain)):
+        ref = PairSets(ctx)
+        for b in ctx.bridge_profiles.values():
+            for h1, h2 in ((EMPTY_SPROFILE, b), (b, EMPTY_SPROFILE), (b, b)):
+                assert op_serial(h1, h2, ctx).pairs == ref.op_serial(h1, h2)
+        assert not accepts(EMPTY_SPROFILE, ctx)
+    assert EMPTY_SPROFILE.space is None and EMPTY_SPROFILE.rows is None
+
+
+# ---------------------------------------------------------------------------
+# monotonicity: h below h' gives compositions below
+# ---------------------------------------------------------------------------
+
+
+def _below(h, rng, ctx):
+    """A random profile contained in ``h``: a subset of its pairs, or of the
+    monomials of each of its terms."""
+    if isinstance(h, SProfile):
+        return SProfile(p for p in h.pairs if rng.random() < 0.5)
+    entries = []
+    for p, t in h.entries:
+        space = ctx.spaces[p]
+        if type(space) is TermSpace:
+            entries.append((p, space.cls(t & rng.getrandbits(max(t.bit_length(), 1)))))
+        else:
+            entries.append((p, TermNF(frozenset(m for m in t.monomials if rng.random() < 0.5))))
+    return PProfile(tuple(entries))
+
+
+def _contained(h, h2) -> bool:
+    if isinstance(h, SProfile):
+        return h.pairs <= h2.pairs
+    return all(frozenset(a.monomials) <= frozenset(b.monomials)
+               for (_, a), (_, b) in zip(h.entries, h2.entries))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_profile_operations_are_monotone(seed):
+    ctx = build_ctx(gen_random_grammar(seed))
+    profiles = sample_profiles(ctx)
+    rng = random.Random(seed)
+    for _ in range(60):
+        big, k = rng.choice(profiles), rng.choice(profiles)
+        small = _below(big, rng, ctx)
+        assert _contained(small, big)
+        assert _contained(op_serial(small, k, ctx), op_serial(big, k, ctx))
+        assert _contained(op_serial(k, small, ctx), op_serial(k, big, ctx))
+        assert _contained(op_parallel(small, k, ctx), op_parallel(big, k, ctx))
+        assert _contained(op_parallel(k, small, ctx), op_parallel(k, big, ctx))
+        assert not accepts(small, ctx) or accepts(big, ctx)
