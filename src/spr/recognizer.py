@@ -467,8 +467,9 @@ def op_parallel(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> PProfile:
     t1 = par_map(h1, ctx)
     t2 = par_map(h2, ctx)
     spaces = ctx.spaces
+    # a zero side (packed 0, or a TermNF without monomials) is the product
     entries = tuple(
-        (p, term_mul(a, b, spaces[p]))
+        (p, a if not a else b if not b else term_mul(a, b, spaces[p]))
         for (p, a), (_, b) in zip(t1.entries, t2.entries)
     )
     return ctx.sspace.pprofile(entries)

@@ -20,7 +20,11 @@ that key, which keeps deep graphs free of recursive ``__eq__`` calls.
 
 Terms (the textual syntax ``a.(b||c)``) are a separate free AST; parsing and
 canonicalisation are split so grammar rule right-hand sides can reuse the
-term reader with nonterminal leaves.
+term reader with nonterminal leaves.  ``canonicalize`` builds every node of
+a graph once, from all the parts of its flattened layer, so a term of n
+edges costs time linear in n plus the length of the keys (and one sort
+per parallel layer), however its ``.`` and ``||`` associate; ``compose_serial``/``compose_parallel`` copy
+their operands' children and suit composing a few graphs, not building one.
 """
 
 from __future__ import annotations
@@ -107,24 +111,26 @@ def fold_term(t: Term, atom, ref, ser, par):
     ``par(left, right)`` of their folded sides.
 
     Iterative post-order, so arbitrarily deep terms do not hit the Python
-    recursion limit; leaves are met left to right.
+    recursion limit; leaves are met left to right.  The stack holds terms
+    still to visit and, below a node's two sides, the callback that combines
+    them once both are folded.
     """
     out: list = []
-    stack: list[tuple[Term, bool]] = [(t, False)]
+    stack: list = [t]
     while stack:
-        node, seen = stack.pop()
-        if isinstance(node, Atom):
+        node = stack.pop()
+        kind = type(node)
+        if kind is Atom:
             out.append(atom(node.label))
-        elif isinstance(node, Ref):
+        elif kind is Serial:
+            stack += (ser, node.right, node.left)
+        elif kind is Parallel:
+            stack += (par, node.right, node.left)
+        elif kind is Ref:
             out.append(ref(node.name))
-        elif not seen:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
         else:
             b = out.pop()
-            a = out.pop()
-            out.append(ser(a, b) if isinstance(node, Serial) else par(a, b))
+            out[-1] = node(out[-1], b)
     return out[0]
 
 
@@ -223,10 +229,60 @@ def _not_ground(name: str):
     raise ValueError(f"term is not ground: nonterminal {name!r}")
 
 
+# An open layer of ``canonicalize`` is a tuple ``(SNode, a, b)`` or
+# ``(PNode, a, b)``: a composition whose node is not built yet.  Each operand
+# is a closed graph or an open layer of the same kind, so the layer's parts
+# are the closed leaves of that binary tree, left to right.
+
+
+def _close(x) -> SPGraph:
+    """The node of an open layer, built once from all its parts; a closed
+    graph is returned as it is."""
+    if type(x) is not tuple:
+        return x
+    parts = []
+    stack = [x[2], x[1]]
+    while stack:
+        y = stack.pop()
+        if type(y) is tuple:
+            stack += (y[2], y[1])
+        else:
+            parts.append(y)
+    return x[0](tuple(parts))
+
+
+def _open(kind):
+    def compose(a, b):
+        if type(a) is tuple and a[0] is not kind:
+            a = _close(a)
+        if type(b) is tuple and b[0] is not kind:
+            b = _close(b)
+        return kind, a, b
+
+    return compose
+
+
+_open_serial = _open(SNode)
+_open_parallel = _open(PNode)
+
+
 def canonicalize(t: Term) -> SPGraph:
     """Turn a ground term into its canonical decomposition tree.  Rejects
-    terms with nonterminal leaves."""
-    return fold_term(t, Bridge, _not_ground, compose_serial, compose_parallel)
+    terms with nonterminal leaves.
+
+    Each serial or parallel layer of the term stays open while the fold
+    meets operands of its own kind and is closed into one node when it
+    becomes an operand of the other kind (or is the root), so every node is
+    built once and the work is linear in the term plus the keys."""
+    bridges: dict[str, Bridge] = {}
+
+    def bridge(label):
+        b = bridges.get(label)
+        if b is None:
+            b = bridges[label] = Bridge(label)
+        return b
+
+    return _close(fold_term(t, bridge, _not_ground, _open_serial, _open_parallel))
 
 
 # ---------------------------------------------------------------------------
@@ -483,19 +539,20 @@ def random_graph(rng, n_edges: int, labels) -> SPGraph:
     """A uniformly-split random SP graph with exactly ``n_edges`` edges.
 
     Not uniform over graphs; intended for stress and performance tests.
-    Iterative so very large graphs are safe to build.
+    Builds the random term iteratively and canonicalizes it once, so very
+    large graphs are safe and linear to build.
     """
     if n_edges < 1:
         raise ValueError("need at least one edge")
     labels = list(labels)
-    out: list[SPGraph] = []
+    out: list[Term] = []
     tasks: list[tuple] = [("gen", n_edges)]
     while tasks:
         task = tasks.pop()
         if task[0] == "gen":
             m = task[1]
             if m == 1:
-                out.append(Bridge(rng.choice(labels)))
+                out.append(Atom(rng.choice(labels)))
             else:
                 i = rng.randint(1, m - 1)
                 op = rng.choice(("s", "p"))
@@ -505,5 +562,5 @@ def random_graph(rng, n_edges: int, labels) -> SPGraph:
         else:
             b = out.pop()
             a = out.pop()
-            out.append(compose_serial(a, b) if task[1] == "s" else compose_parallel(a, b))
-    return out[0]
+            out.append(Serial(a, b) if task[1] == "s" else Parallel(a, b))
+    return canonicalize(out[0])

@@ -361,6 +361,13 @@ def test_member_of_a_deeply_nested_term(gfile, capsys, op):
     assert capsys.readouterr().out == "true\n"
 
 
+@pytest.mark.parametrize("op", [".", "||"])
+def test_member_of_a_long_flat_term(gfile, capsys, monkeypatch, op):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f" {op} ".join(["a"] * 20000) + "\n"))
+    assert run(["member", "-g", gfile(UNIV_TEXT), "-t", "-"]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
 def test_deep_exponents_do_not_crash(gfile, capsys):
     deep = gfile(DEEP_TEXT)
     assert run(["empty", deep]) == 1

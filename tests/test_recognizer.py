@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from spr.grammar import GrammarError, normalize, parse_grammar
-from spr.oracle import enumerate_p_views, enumerate_s_views, language_upto
+from spr.oracle import enumerate_p_views, enumerate_s_views, gen_random_grammar, language_upto
 from spr.recognizer import (
     EMPTY_SPROFILE,
     PProfile,
@@ -28,7 +28,7 @@ from spr.spgraph import (
     enumerate_graphs,
     parse_graph,
 )
-from spr import termalg
+from spr import recognizer, termalg
 from spr.termalg import TermSpace, nf_monomial
 
 BOT = "⊥"
@@ -341,3 +341,48 @@ def test_frozenset_terms_give_the_same_profiles(name, request, monkeypatch):
     assert {_profile_key(h) for h in full.profiles} == {
         _profile_key(h) for h in full_loose.profiles
     }
+
+
+# ---------------------------------------------------------------------------
+# op_parallel takes a zero side as the product
+# ---------------------------------------------------------------------------
+
+
+def _op_parallel_via_term_mul(h1, h2, ctx):
+    """``op_parallel`` with every product computed by ``term_mul``."""
+    t1, t2 = par_map(h1, ctx), par_map(h2, ctx)
+    return ctx.sspace.pprofile(tuple(
+        (p, termalg.term_mul(a, b, ctx.spaces[p]))
+        for (p, a), (_, b) in zip(t1.entries, t2.entries)
+    ))
+
+
+@pytest.mark.parametrize("packed", [True, False])
+def test_zero_sides_give_the_term_mul_product(packed, request, monkeypatch):
+    if not packed:
+        monkeypatch.setattr(termalg, "BOX_LIMIT", 1)
+    grammars = [request.getfixturevalue(n) for n in ("univ", "chain", "bundle", "even_bundle")]
+    grammars += [gen_random_grammar(seed) for seed in range(12)]
+    zero_sides = 0
+    for k, g in enumerate(grammars):
+        ctx = build_ctx(g)
+        if packed:
+            assert all(type(sp) is TermSpace for sp in ctx.spaces.values())
+        elif k < 4:  # the fixtures' boxes all exceed the limit
+            assert not any(type(sp) is TermSpace for sp in ctx.spaces.values())
+        full = reachable_profiles(ctx, cap=30)
+        profiles = list(full.profiles) + list(ctx.bridge_profiles.values())
+        for h1, h2 in itertools.product(profiles, repeat=2):
+            got, want = op_parallel(h1, h2, ctx), _op_parallel_via_term_mul(h1, h2, ctx)
+            for (p, a), (q, b) in zip(got.entries, want.entries):
+                assert p == q and a == b and hash(a) == hash(b) and type(a) is type(b)
+            assert got == want and hash(got) == hash(want)
+            zero_sides += sum(
+                not len(a) or not len(b)
+                for (_, a), (_, b) in zip(par_map(h1, ctx).entries, par_map(h2, ctx).entries)
+            )
+        with monkeypatch.context() as m:
+            m.setattr(recognizer, "op_parallel", _op_parallel_via_term_mul)
+            again = reachable_profiles(ctx, cap=30)
+        assert again.profiles == full.profiles
+    assert zero_sides
