@@ -34,6 +34,14 @@ profile ORs the right profile's rows that its S-remainders name, and gains
 Views depend on the context, so a profile keeps them only for the context
 whose ``SSpace`` it is packed over; any other profile is packed anew first.
 
+The recognizer's algebra is finite, so a large graph goes through few
+distinct profiles.  ``eval_graph`` therefore interns every profile it meets
+in a table of its own call, so equal profiles are one object that keeps its
+views, and keeps a serial and a parallel composition table keyed by the ids
+of two interned operands: each distinct pair is composed once per call.  The
+tables die with the call: saturations compose each pair once anyway, and a
+context that kept them would only grow.
+
 Everything is computed on a normalized, alternative-form working copy of the
 grammar (built once per ``RecognizerCtx``); languages are unchanged by that
 preparation.
@@ -505,31 +513,54 @@ def op_serial(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> SProfile:
 # ---------------------------------------------------------------------------
 
 
-def eval_graph(g: SPGraph, ctx: RecognizerCtx) -> Profile:
+def eval_graph(g: SPGraph, ctx: RecognizerCtx, stats: Optional[dict] = None) -> Profile:
     """Bottom-up profile of a canonical graph (iterative, memoized on shared
-    subgraphs)."""
+    subgraphs), composing each distinct pair of profiles once.
+
+    Every profile the call meets goes through one intern table, so equal
+    profiles are one object (which keeps its views), and a serial and a
+    parallel table map the ids of two interned operands to their interned
+    composition.  All three tables live for this call only.  ``stats``
+    receives the effort: ``compositions`` (``op_serial``/``op_parallel``
+    calls made), ``table_hits`` and ``profiles`` (distinct profiles)."""
     memo: dict[str, Profile] = {}
+    canon: dict = {}  # profile -> the one equal profile this call uses
+    serial: dict = {}  # (id, id) of interned operands -> interned result
+    parallel: dict = {}
+    steps = 0  # compositions asked for
     stack = [g]
     while stack:
         node = stack.pop()
         if node.key in memo:
             continue
-        if isinstance(node, Bridge):
-            memo[node.key] = bridge_profile(node.label, ctx)
+        if type(node) is Bridge:
+            h = bridge_profile(node.label, ctx)
+            memo[node.key] = canon.setdefault(h, h)
             continue
         pending = [c for c in node.children if c.key not in memo]
         if pending:
             stack.append(node)
             stack.extend(pending)
             continue
-        acc = memo[node.children[0].key]
-        if isinstance(node, SNode):
-            for c in node.children[1:]:
-                acc = op_serial(acc, memo[c.key], ctx)
+        if type(node) is SNode:
+            table, op = serial, op_serial
         else:
-            for c in node.children[1:]:
-                acc = op_parallel(acc, memo[c.key], ctx)
+            table, op = parallel, op_parallel
+        children = iter(node.children)
+        acc = memo[next(children).key]
+        for c in children:
+            b = memo[c.key]
+            pair = (id(acc), id(b))
+            h = table.get(pair)
+            if h is None:
+                h = op(acc, b, ctx)
+                h = table[pair] = canon.setdefault(h, h)
+            acc = h
+        steps += len(node.children) - 1
         memo[node.key] = acc
+    if stats is not None:
+        made = len(serial) + len(parallel)  # one entry per call made
+        stats.update(compositions=made, table_hits=steps - made, profiles=len(canon))
     return memo[g.key]
 
 

@@ -295,24 +295,20 @@ def canonicalize(t: Term) -> SPGraph:
 # comments         # to end of line
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"[a-z$][a-z0-9_$]*|\|\||[().^]|[0-9]+")
+# whitespace, then a token (group 1) or the one character that starts none
+_SCAN_RE = re.compile(r"\s*(?:([a-z$][a-z0-9_$]*|\|\||[().^]|[0-9]+)|(\S))")
 
 
 def tokenize(text: str) -> list[tuple[str, int, int]]:
     """Split ``text`` into (token, line, col) triples, dropping comments."""
     toks = []
     for lno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0]
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(line, pos)
-            if not m:
-                raise ParseError(f"unexpected character {line[pos]!r}", lno, pos + 1)
-            toks.append((m.group(), lno, pos + 1))
-            pos = m.end()
+        # without trailing whitespace every match ends where the next begins
+        for m in _SCAN_RE.finditer(line.split("#", 1)[0].rstrip()):
+            tok = m.group(1)
+            if tok is None:
+                raise ParseError(f"unexpected character {m.group(2)!r}", lno, m.start(2) + 1)
+            toks.append((tok, lno, m.start(1) + 1))
     return toks
 
 

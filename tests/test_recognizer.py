@@ -1,9 +1,16 @@
 import itertools
+import random
 
 import pytest
 
 from spr.grammar import GrammarError, normalize, parse_grammar
-from spr.oracle import enumerate_p_views, enumerate_s_views, gen_random_grammar, language_upto
+from spr.oracle import (
+    enumerate_p_views,
+    enumerate_s_views,
+    gen_random_grammar,
+    gen_worstcase,
+    language_upto,
+)
 from spr.recognizer import (
     EMPTY_SPROFILE,
     PProfile,
@@ -23,10 +30,12 @@ from spr.recognizer import (
 from spr.spgraph import (
     Bridge,
     PNode,
+    SNode,
     compose_parallel,
     compose_serial,
     enumerate_graphs,
     parse_graph,
+    random_graph,
 )
 from spr import recognizer, termalg
 from spr.termalg import TermSpace, nf_monomial
@@ -386,3 +395,108 @@ def test_zero_sides_give_the_term_mul_product(packed, request, monkeypatch):
             again = reachable_profiles(ctx, cap=30)
         assert again.profiles == full.profiles
     assert zero_sides
+
+
+# ---------------------------------------------------------------------------
+# eval_graph composes each distinct pair of profiles once per call
+# ---------------------------------------------------------------------------
+
+
+def _eval_every_child(g, ctx, pairs, met):
+    """``eval_graph`` without tables: one ``op_serial``/``op_parallel`` call
+    per child after the first.  Each call is recorded in ``pairs`` as
+    ``(op, h1, h2)``, and every bridge profile and result in ``met``."""
+    memo = {}
+
+    def ev(node):
+        if node.key not in memo:
+            if isinstance(node, Bridge):
+                acc = bridge_profile(node.label, ctx)
+                met.append(acc)
+            else:
+                op = op_serial if isinstance(node, SNode) else op_parallel
+                acc = ev(node.children[0])
+                for c in node.children[1:]:
+                    b = ev(c)
+                    pairs.append((op, acc, b))
+                    acc = op(acc, b, ctx)
+                    met.append(acc)
+            memo[node.key] = acc
+        return memo[node.key]
+
+    return ev(g)
+
+
+def _shared_graphs(rng, labels):
+    """Random graphs, flat layers of bridges, and graphs that reuse
+    subgraphs."""
+    x, y = random_graph(rng, 5, labels), random_graph(rng, 4, labels)
+    xy, xx = compose_parallel(x, y), compose_parallel(x, x)
+    out = [
+        random_graph(rng, 40, labels),
+        compose_serial(xy, compose_serial(xx, xy)),
+        compose_parallel(compose_serial(x, y), compose_serial(x, y)),
+        compose_serial(compose_serial(xx, x), compose_parallel(xx, compose_serial(y, y))),
+        parse_graph(" . ".join(rng.choice(labels) for _ in range(30))),
+        parse_graph(" || ".join(rng.choice(labels) for _ in range(12))),
+    ]
+    return out + [compose_parallel(g, g) for g in out[:2]]
+
+
+@pytest.mark.parametrize("packed", [True, False])
+def test_eval_graph_equals_the_fold_over_every_child(packed, monkeypatch):
+    if not packed:
+        monkeypatch.setattr(termalg, "BOX_LIMIT", 1)
+    rng = random.Random(11)
+    hits = 0
+    for seed in range(60):
+        g = gen_random_grammar(seed)
+        ctx = build_ctx(g)
+        for graph in _shared_graphs(rng, g.alphabet):
+            pairs, met, stats = [], [], {}
+            want = _eval_every_child(graph, ctx, pairs, met)
+            got = eval_graph(graph, ctx, stats)
+            assert got == want and hash(got) == hash(want) and type(got) is type(want)
+            assert accepts(got, ctx) == accepts(want, ctx)
+            assert stats == {
+                "compositions": len(set(pairs)),
+                "table_hits": len(pairs) - len(set(pairs)),
+                "profiles": len(set(met)),
+            }
+            hits += stats["table_hits"]
+    assert hits
+
+
+def test_long_chains_compose_each_distinct_pair_once(univ, monkeypatch):
+    ctx = build_ctx(univ)
+    rng = random.Random(3)
+    chain = parse_graph(" . ".join(rng.choice("ab") for _ in range(2000)))
+    pairs = []
+    want = _eval_every_child(chain, ctx, pairs, [])
+    calls = []
+
+    def counting(h1, h2, c):
+        calls.append((h1, h2))
+        return op_serial(h1, h2, c)
+
+    monkeypatch.setattr(recognizer, "op_serial", counting)
+    assert eval_graph(chain, ctx) == want
+    assert len(pairs) == 1999
+    assert len(calls) == len(set(calls)) <= len(set(pairs)) < 100
+
+
+def test_eval_graph_keeps_nothing_between_calls(univ, chain):
+    rng = random.Random(8)
+    wc = gen_worstcase(2)
+    for g in (univ, chain, wc):
+        labels = sorted(g.alphabet)
+        a, b = random_graph(rng, 300, labels), random_graph(rng, 300, labels)
+        ctx = build_ctx(g)
+        eval_graph(a, ctx)
+        after_a, fresh = {}, {}
+        h = eval_graph(b, ctx, after_a)
+        fresh_ctx = build_ctx(g)
+        want = eval_graph(b, fresh_ctx, fresh)
+        assert h == want and hash(h) == hash(want)
+        assert accepts(h, ctx) == accepts(want, fresh_ctx)
+        assert after_a == fresh and fresh["compositions"] > 0

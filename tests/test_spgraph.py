@@ -25,6 +25,7 @@ from spr.spgraph import (
     parse_graph,
     parse_term,
     random_graph,
+    tokenize,
 )
 
 # ---------------------------------------------------------------------------
@@ -207,6 +208,57 @@ def test_parse_deep_nesting(op, node):
 def test_comments_and_whitespace():
     assert parse_graph("a . b # trailing comment") == parse_graph("a.b")
     assert parse_graph("a\n. b") == parse_graph("a . b")
+
+
+def _tokenize_by_char(text):
+    """Reference tokenizer: steps over whitespace one character at a time."""
+    token_re = re.compile(r"[a-z$][a-z0-9_$]*|\|\||[().^]|[0-9]+")
+    toks = []
+    for lno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0]
+        pos = 0
+        while pos < len(line):
+            if line[pos].isspace():
+                pos += 1
+                continue
+            m = token_re.match(line, pos)
+            if not m:
+                raise ParseError(f"unexpected character {line[pos]!r}", lno, pos + 1)
+            toks.append((m.group(), lno, pos + 1))
+            pos = m.end()
+    return toks
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as e:
+        return ("error", str(e), e.line, e.col)
+
+
+# token pieces, whitespace of several kinds and line breaks, comments
+_PIECES = ["a", "b1", "x_y", "$s", "p$2", "12", "0", ".", "||", "(", ")", "^",
+           " ", "  ", "\t", "\u00a0", "\u2003", "\n", "\r\n", "\u2028", "# c", "#"]
+# characters that start no token, spliced in to corrupt a valid string
+_BAD = ["|", "?", "A", "-", "\x00", "\u00e9", "{", "@", "\u00a0|"]
+
+
+def test_tokenize_matches_the_character_stepping_reference():
+    rng = random.Random(5)
+    texts = ["", " ", "\n\n", "a   ", "a\t\n", "   # only a comment", "a b |"]
+    for _ in range(3000):
+        text = "".join(rng.choice(_PIECES) for _ in range(rng.randint(1, 25)))
+        texts.append(text)
+        for _ in range(rng.randint(1, 2)):
+            k = rng.randint(0, len(text))
+            text = text[:k] + rng.choice(_BAD) + text[k:]
+        texts.append(text)
+    errors = 0
+    for text in texts:
+        want = _tokens_or_error(_tokenize_by_char, text)
+        assert _tokens_or_error(tokenize, text) == want, repr(text)
+        errors += isinstance(want, tuple)
+    assert 1000 < errors < len(texts) - 1000
 
 
 terms = st.deferred(
