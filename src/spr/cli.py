@@ -246,6 +246,8 @@ def run(argv=None) -> int:
     if unknown and not {"-h", "--help"} & set(unknown):
         ap.error(f"unrecognized arguments: {' '.join(unknown)}")
     args = ap.parse_args(argv)
+    if args.cap < 0:
+        ap.error(f"argument --cap: must not be negative, got {args.cap}")
     try:
         return args.handler(args)
     except CapExceeded as e:

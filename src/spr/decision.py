@@ -32,6 +32,7 @@ from typing import Optional
 from .grammar import Grammar, GrammarError, RuleFree, rule_rhs_term
 from .recognizer import (
     RecognizerCtx,
+    _check_cap,
     accepts,
     bridge_profile,
     build_ctx,
@@ -97,13 +98,15 @@ def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None, goal=None) -> di
     combination that holds it (semi-naive: the occurrences before the one
     fixed to the new value take only older values).  ``stats`` receives the
     values ``settled`` and the heap ``pops``; more than ``cap`` settled
-    values raise :class:`CapExceeded`.
+    values raise :class:`CapExceeded`, and a negative ``cap``
+    ``ValueError``.
 
     With ``goal``, the first settled (x, value) with ``goal(x, value)`` fixes
     an edge limit: the loop finishes that edge layer, so every value of at
     most that many edges is settled as in the full search, and stops.  The
     cap no longer applies once the goal is met.
     """
+    _check_cap(cap)
     bodies = [(r.lhs, rule_rhs_term(r)) for r in g.rules]
     occs = []
     uses = defaultdict(list)  # nonterminal -> [(rule index, its positions)]

@@ -597,6 +597,11 @@ class ReachResult:
         return len(self.profiles) - self.n_serial
 
 
+def _check_cap(cap: Optional[int]) -> None:
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must not be negative, got {cap}")
+
+
 def reachable_profiles(ctx: RecognizerCtx, cap: Optional[int] = None) -> ReachResult:
     """Close the bridge profiles under both composition laws.
 
@@ -604,8 +609,9 @@ def reachable_profiles(ctx: RecognizerCtx, cap: Optional[int] = None) -> ReachRe
     (it composes profiles of incompatible shapes too), but it is still bounded
     by the counting argument in :func:`spr.decision.bound_cardinality`.  Stops
     unsaturated, holding exactly ``cap`` profiles, once a profile beyond the
-    first ``cap`` turns up.
+    first ``cap`` turns up.  A negative ``cap`` raises ``ValueError``.
     """
+    _check_cap(cap)
     bridges = list(dict.fromkeys(ctx.bridge_profiles[a] for a in ctx.grammar.alphabet))
     if cap is not None and len(bridges) > cap:
         return ReachResult(set(bridges[:cap]), False)

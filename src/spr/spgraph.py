@@ -18,12 +18,16 @@ lexicographically by their child sequence.  The order is realised by a
 canonical key string carried by every node; equality and hashing go through
 that key, which keeps deep graphs free of recursive ``__eq__`` calls.
 
-Terms (the textual syntax ``a.(b||c)``) are a separate free AST; parsing and
-canonicalisation are split so grammar rule right-hand sides can reuse the
-term reader with nonterminal leaves.  ``canonicalize`` builds every node of
-a graph once, from all the parts of its flattened layer, so a term of n
-edges costs time linear in n plus the length of the keys (and one sort
-per parallel layer), however its ``.`` and ``||`` associate; ``compose_serial``/``compose_parallel`` copy
+Terms (the textual syntax ``a.(b||c)``) are also a free AST, which grammar
+rule right-hand sides use with nonterminal leaves.  One reader serves both:
+it collects each layer's parts and hands them, when the layer closes, to a
+builder of the layer's kind.  For a rule body the builders fold the parts
+left into ``Serial``/``Parallel``; for graph text (``parse_graph``) they
+build the canonical node at once, so no term is made.  ``canonicalize``
+turns a term into its graph the same way.  Both build every node of a graph
+once, from all the parts of its flattened layer, so n edges cost time linear
+in n plus the length of the keys (and one sort per parallel layer), however
+``.`` and ``||`` associate; ``compose_serial``/``compose_parallel`` copy
 their operands' children and suit composing a few graphs, not building one.
 """
 
@@ -31,7 +35,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from functools import partial, reduce
+from typing import Iterable, Iterator, Union
 
 LABEL_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 # Nonterminal names may additionally contain '$' (reserved for generated
@@ -312,6 +317,17 @@ def tokenize(text: str) -> list[tuple[str, int, int]]:
     return toks
 
 
+def _graph_layer(node):
+    """The graph builder of ``node``'s layers: one node of all the parts."""
+    return lambda parts: parts[0] if len(parts) == 1 else node(tuple(parts))
+
+
+# (leaf, serial layer, parallel layer): a rule body's layers fold left, as
+# ``a . b . c`` reads ``Serial(Serial(a, b), c)``
+_TERM_BUILDERS = (Atom, partial(reduce, Serial), partial(reduce, Parallel))
+_GRAPH_BUILDERS = (Bridge, _graph_layer(SNode), _graph_layer(PNode))
+
+
 class _TermParser:
     """Reader for the term syntax: ``||`` binds loosest, then ``.``, both
     left-associative, with parentheses for grouping.
@@ -321,103 +337,131 @@ class _TermParser:
     accepted (expanded into k parallel copies) -- that extension exists only
     for grammar rule bodies, never for ground graph terms.
 
-    Open parentheses live on an explicit stack rather than the Python call
-    stack, so nesting depth is bounded by memory only.
+    Each layer is built once, when it closes, by the builder of its kind from
+    all its parts; a one-part layer is its part.  ``parse()`` builds a free
+    ``Term``, folded left; ``parse(graph=True)`` builds the canonical graph
+    directly.  There a parenthesised layer that is an operand of a layer of
+    its own kind is not built at all: its parts stay where they are and join
+    the enclosing layer, so a graph of n edges costs time linear in n however
+    its text associates.  Open groups live on explicit stacks rather than the
+    Python call stack, so nesting depth is bounded by memory only.
     """
 
     def __init__(self, toks, names=None, exponents=False):
         self.toks = toks
-        self.i = 0
         self.names = names
         self.exponents = exponents
         self.saw_exponent = False
 
-    def error(self, msg):
-        if self.i < len(self.toks):
-            _, ln, col = self.toks[self.i]
+    def error(self, msg, i):
+        """Raise ``msg`` at token ``i``, or at the last token past the end."""
+        if i < len(self.toks):
+            _, ln, col = self.toks[i]
         elif self.toks:
             _, ln, col = self.toks[-1]
         else:
             ln, col = 1, 1
         raise ParseError(msg, ln, col)
 
-    def peek(self) -> Optional[str]:
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
-
-    def take(self) -> str:
-        if self.i >= len(self.toks):
-            self.error("unexpected end of input")
-        tok = self.toks[self.i][0]
-        self.i += 1
-        return tok
-
-    def parse(self) -> Term:
-        # one [parallel so far, serial so far] per open group, outermost first
-        groups: list[list] = [[None, None]]
+    def parse(self, graph: bool = False):
+        """The term the tokens spell or, with ``graph``, its canonical graph."""
+        atom, ser, par = _GRAPH_BUILDERS if graph else _TERM_BUILDERS
+        words = [tok for tok, _, _ in self.toks]
+        words.append(None)  # the end of input
+        leaves: dict = {}  # each name read so far, as its leaf
+        # the serial parts of every open factor and the parallel parts of
+        # every open group, innermost last; the innermost group's current
+        # factor is sers[s0:] and its parallel parts pars[p0:]
+        sers: list = []
+        pars: list = []
+        s0 = p0 = 0
+        outer: list = []  # (s0, p0) of each enclosing group
+        i = 0
         while True:
-            if self.peek() == "(":
-                self.i += 1
-                groups.append([None, None])
+            tok = words[i]
+            if tok == "(":
+                outer.append((s0, p0))
+                s0, p0 = len(sers), len(pars)
+                i += 1
                 continue
-            t = self.leaf()
-            while True:  # t ends a factor: close what it ends
-                g = groups[-1]
-                g[1] = t if g[1] is None else Serial(g[1], t)
-                tok = self.peek()
-                if tok == ".":
-                    break
-                g[0] = g[1] if g[0] is None else Parallel(g[0], g[1])
-                g[1] = None
+            t = leaves.get(tok)
+            if t is None:
+                t = leaves[tok] = self.leaf(tok, i, atom)
+            i += 1
+            tok = words[i]
+            if tok == "^":
+                t = par([t] * self.exponent(i))
+                i += 2
+                tok = words[i]
+            sers.append(t)
+            while tok != ".":  # t ends a factor: close what it ends
                 if tok == "||":
+                    pars.append(ser(sers[s0:]))
+                    del sers[s0:]
                     break
-                if len(groups) == 1:
+                if not outer:
                     if tok is not None:
-                        self.error(f"trailing input {tok!r}")
-                    return g[0]
+                        self.error(f"trailing input {tok!r}", i)
+                    pars.append(ser(sers))
+                    return par(pars)
                 if tok != ")":
-                    self.error("expected ')'")
-                self.i += 1
-                groups.pop()
-                t = g[0]
-            self.i += 1  # the operator before the next factor
+                    self.error("expected ')'", i)
+                i += 1
+                tok = words[i]
+                outer_s0, outer_p0 = outer.pop()
+                # the group becomes one serial part, unless in a graph its
+                # parts can stay and join the layer around them: those of a
+                # serial group always, a parallel group's when the group is
+                # the whole factor around it
+                if not graph or (p0 < len(pars) and (outer_s0 < s0 or tok == ".")):
+                    pars.append(ser(sers[s0:]))
+                    del sers[s0:]
+                    sers.append(par(pars[p0:]))
+                    del pars[p0:]
+                s0, p0 = outer_s0, outer_p0
+            i += 1  # the operator before the next factor
 
-    def leaf(self) -> Term:
-        tok = self.peek()
+    def leaf(self, tok, i, atom):
+        """The leaf for the name ``tok`` at token ``i``."""
         if tok is None:
-            self.error("unexpected end of input")
+            self.error("unexpected end of input", i)
         if not NAME_RE.match(tok):
-            self.error(f"expected a name, got {tok!r}")
-        self.take()
+            self.error(f"expected a name, got {tok!r}", i)
         if self.names is not None and tok in self.names:
-            leaf: Term = Ref(tok)
-        else:
-            if not LABEL_RE.match(tok):
-                self.error(f"unknown name {tok!r}")
-            leaf = Atom(tok)
-        t = leaf
-        if self.peek() == "^":
-            if not self.exponents:
-                self.error("exponents are not valid in graph terms")
-            self.take()
-            count = self.take()
-            if not count.isdigit() or int(count) < 1:
-                self.error("exponent must be a positive integer")
-            self.saw_exponent = True
-            for _ in range(int(count) - 1):
-                t = Parallel(t, leaf)
-        return t
+            return Ref(tok)
+        if not LABEL_RE.match(tok):
+            self.error(f"unknown name {tok!r}", i + 1)
+        return atom(tok)
+
+    def exponent(self, i) -> int:
+        """The count of the exponent whose ``^`` is token ``i``."""
+        if not self.exponents:
+            self.error("exponents are not valid in graph terms", i)
+        if i + 1 >= len(self.toks):
+            self.error("unexpected end of input", i + 1)
+        count = self.toks[i + 1][0]
+        if not count.isdigit() or int(count) < 1:
+            self.error("exponent must be a positive integer", i + 2)
+        self.saw_exponent = True
+        return int(count)
+
+
+def _read_text(text: str, graph: bool):
+    toks = tokenize(text)
+    if not toks:
+        raise ParseError("empty term", 1, 1)
+    return _TermParser(toks).parse(graph)
 
 
 def parse_term(text: str) -> Term:
     """Parse a ground graph term (labels, ``.``, ``||``, parentheses)."""
-    toks = tokenize(text)
-    if not toks:
-        raise ParseError("empty term", 1, 1)
-    return _TermParser(toks).parse()
+    return _read_text(text, False)
 
 
 def parse_graph(text: str) -> SPGraph:
-    return canonicalize(parse_term(text))
+    """Parse a ground graph term straight into its canonical graph; equal to
+    ``canonicalize(parse_term(text))``, with the same errors."""
+    return _read_text(text, True)
 
 
 def format_graph(g: SPGraph) -> str:

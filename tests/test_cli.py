@@ -243,6 +243,22 @@ def test_stats_json_respects_cap(gfile, capsys):
     assert data["bound"] == 2**96 + 2**24
 
 
+@pytest.mark.parametrize("cmd", ["stats", "empty"])
+def test_negative_cap_is_a_usage_error(gfile, capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        run(["--cap", "-3", cmd, gfile(UNIV_TEXT)])
+    assert exc.value.code == 2
+    assert "argument --cap: must not be negative, got -3" in capsys.readouterr().err
+
+
+def test_zero_cap_keeps_its_meaning(gfile, capsys):
+    assert run(["--cap", "0", "stats", gfile(UNIV_TEXT)]) == 0
+    out = capsys.readouterr().out
+    assert "serial profiles: 0" in out and "saturated: False" in out
+    assert run(["--cap", "0", "empty", gfile(CHAIN_TEXT)]) == 2
+    assert "exceeded the cap of 0 states" in capsys.readouterr().err
+
+
 def test_gen_worstcase_emits_a_parsable_grammar(capsys):
     assert run(["gen-worstcase", "-k", "2"]) == 0
     g = parse_grammar(capsys.readouterr().out)

@@ -1,0 +1,99 @@
+"""Every input the CLI accepts ends in exit 0, 1 or 2 with a message, never
+in an uncaught exception: generated grammar texts (``gen_random_grammar``
+output, free-form rule bodies, and corruptions of both) and term texts,
+through ``check``, ``stats``, ``empty`` and ``member``."""
+
+import contextlib
+import io
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spr.cli import run
+from spr.grammar import format_grammar
+from spr.oracle import gen_random_grammar
+from spr.spgraph import format_graph, random_graph
+
+# pieces spliced into a text to corrupt it (no digits but "0", so an
+# exponent grows by at most a factor of ten)
+PIECES = ["->", "||", ".", "(", ")", "^", "^2", "0", "#", "\n", " ", "A", "?",
+          ":", "x", "a", "p0", "s0", "s1", "rules:", "axioms: q\n", "$", "-"]
+TERM_TOKENS = ["a", "b", "c", "p0", "s0", "(", ")", ".", "||", "^2", " ", "\n", "#x\n"]
+
+
+def corrupt(text: str, rnd: random.Random) -> str:
+    for _ in range(rnd.randint(1, 3)):
+        k = rnd.randint(0, len(text))
+        if rnd.random() < 0.25:  # drop a span
+            text = text[:k] + text[k + rnd.randint(1, 12):]
+        else:
+            text = text[:k] + rnd.choice(PIECES) + text[k:]
+    return text
+
+
+def free_rules(rnd: random.Random) -> str:
+    """Rules with free-form bodies over the names of ``gen_random_grammar``."""
+    lines = []
+    for _ in range(rnd.randint(1, 3)):
+        body = " ".join(rnd.choice(TERM_TOKENS[:9]) for _ in range(rnd.randint(1, 9)))
+        lines.append(f"{rnd.choice(['p0', 's0'])} -> {body}\n")
+    return "".join(lines)
+
+
+@st.composite
+def grammar_texts(draw):
+    text = format_grammar(gen_random_grammar(draw(st.integers(0, 10**6))))
+    rnd = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        text += free_rules(rnd)
+    if draw(st.booleans()):
+        text = corrupt(text, rnd)
+    return text
+
+
+@st.composite
+def term_texts(draw):
+    rnd = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        text = format_graph(random_graph(rnd, rnd.randint(1, 30), rnd.choice(["a", "ab", "abc"])))
+    else:
+        text = "".join(rnd.choice(TERM_TOKENS) for _ in range(rnd.randint(0, 20)))
+    return corrupt(text, rnd) if draw(st.booleans()) else text
+
+
+def call(argv, stdin=""):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert err.getvalue().startswith("error: "), err.getvalue()
+    return code
+
+
+@pytest.fixture(scope="module")
+def grammar_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("robust") / "g.spg"
+
+    def write(text):
+        path.write_text(text)
+        return str(path)
+
+    return write
+
+
+@settings(max_examples=60, deadline=None)
+@given(grammar_texts())
+def test_grammar_commands_end_in_an_exit_code(text):
+    for cmd in ("check", "stats", "empty"):
+        call(["--cap", "40", cmd, "-"], stdin=text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grammar_texts(), term_texts())
+def test_member_ends_in_an_exit_code(grammar_file, grammar, term):
+    call(["member", "-g", grammar_file(grammar), "-t", "-"], stdin=term)

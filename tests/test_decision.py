@@ -228,6 +228,18 @@ def test_caps_abort_saturation(chain, bundle, even_bundle):
         inclusion(bundle, even_bundle, cap=1)
 
 
+def test_negative_caps_are_rejected(chain, bundle, even_bundle):
+    for decide in (
+        lambda cap: intersection_empty([chain, bundle], cap=cap),
+        lambda cap: inclusion(bundle, even_bundle, cap=cap),
+        lambda cap: derivable_values(chain, build_ctx(bundle), cap=cap),
+    ):
+        with pytest.raises(ValueError, match="cap must not be negative, got -1"):
+            decide(-1)
+        with pytest.raises(CapExceeded):  # zero settles nothing
+            decide(0)
+
+
 # ---------------------------------------------------------------------------
 # derivable values
 # ---------------------------------------------------------------------------

@@ -323,6 +323,14 @@ def test_reachable_profiles_stop_at_exactly_the_cap(univ):
     assert res.saturated and res.profiles == full.profiles
 
 
+def test_reachable_profiles_reject_a_negative_cap(univ):
+    ctx = build_ctx(univ)
+    with pytest.raises(ValueError, match="cap must not be negative, got -3"):
+        reachable_profiles(ctx, cap=-3)
+    res = reachable_profiles(ctx, cap=0)  # no profile at all, unsaturated
+    assert not res.saturated and res.profiles == set()
+
+
 # ---------------------------------------------------------------------------
 # packed terms against the frozenset terms of oversized boxes
 # ---------------------------------------------------------------------------

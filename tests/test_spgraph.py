@@ -15,6 +15,7 @@ from spr.spgraph import (
     Ref,
     Serial,
     SNode,
+    _TermParser,
     canonicalize,
     compose_parallel,
     compose_serial,
@@ -181,6 +182,21 @@ def test_parse_errors():
     ]:
         with pytest.raises(ParseError, match=re.escape(frag)):
             parse_graph(text)
+
+
+def test_parse_term_folds_each_layer_left():
+    a, b, c, d = map(Atom, "abcd")
+    assert parse_term("a . b . c") == Serial(Serial(a, b), c)
+    assert parse_term("a . (b . c)") == Serial(a, Serial(b, c))
+    assert parse_term("a || b . c . d || (a)") == Parallel(
+        Parallel(a, Serial(Serial(b, c), d)), a
+    )
+    assert parse_term("((a || b)) . c") == Serial(Parallel(a, b), c)
+    # a rule body's exponent is one more parallel layer of its copies
+    p, s = Ref("p"), Ref("s")
+    reader = _TermParser(tokenize("p || s^3 . a"), names={"p": "P", "s": "S"}, exponents=True)
+    assert reader.parse() == Parallel(p, Serial(Parallel(Parallel(s, s), s), a))
+    assert reader.saw_exponent
 
 
 def test_parse_error_location():
