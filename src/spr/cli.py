@@ -142,7 +142,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_stats(args) -> int:
     g = _load(args.grammar)
     ctx = build_ctx(g)
-    reach = reachable_profiles(ctx, cap=args.cap)
+    effort: dict = {}
+    reach = reachable_profiles(ctx, cap=args.cap, stats=effort)
     bound = bound_cardinality(g, ctx)
     try:
         bound_text = str(bound)
@@ -155,11 +156,14 @@ def _cmd_stats(args) -> int:
         "bound": None if bound_text is None else bound,
         "bound_bits": bound.bit_length(),
         "working_nonterminals": len(ctx.grammar.pnames) + len(ctx.grammar.snames),
+        "stats": effort,
     }
     lines = [
         f"serial profiles: {reach.n_serial}",
         f"parallel profiles: {reach.n_parallel}",
         f"saturated: {reach.saturated}",
+        f"compositions: {effort['compositions']}",
+        f"table hits: {effort['table_hits']}",
         f"profile bound: {bound_text or f'< 2^{bound.bit_length()}'}",
     ]
     _emit(args, data, lines)

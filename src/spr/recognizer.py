@@ -23,14 +23,16 @@ membership of arbitrarily large graphs is decided by one bottom-up sweep:
 The two views convert into each other: ``par_map`` reads a serial graph as a
 single parallel component, ``seq_map`` turns a parallel graph's views into
 chain steps through the serial rules.  A profile computes each view the
-first time it is asked for and keeps it: a serial profile its rows split
-into S-remainders and P-remainder bits (its side of ``op_serial`` on the
-left), its rows indexed by S-name (on the right), its ⊥ rows and its
-``par_map``; a parallel profile its finished mask (the P-names that accept
-it as a finished layer, as remainder bits) and its ``seq_map``.
-``op_serial`` is then composition of relations: every row of the left
-profile ORs the right profile's rows that its S-remainders name, and gains
-⊥ when one of its P-remainders is in the right profile's finished mask.
+first time it is asked for and keeps it: a serial profile its left view
+(index tuples: the rows' S-names, each row's first S-remainder, and the few
+rows with further S-remainders or with P-remainders), its rows indexed by
+S-name (on the right), its ⊥ rows and its ``par_map``; a parallel profile
+its finished mask (the P-names that accept it as a finished layer, as
+remainder bits) and its ``seq_map``.  ``op_serial`` is then composition of
+relations: every row of the left profile ORs the right profile's rows that
+its S-remainders name, and gains ⊥ when one of its P-remainders is in the
+right profile's finished mask.  The rows named by first S-remainders are
+fetched in one C-level gather; Python steps in only for the other rows.
 Views depend on the context, so a profile keeps them only for the context
 whose ``SSpace`` it is packed over; any other profile is packed anew first.
 
@@ -39,8 +41,11 @@ distinct profiles.  ``eval_graph`` therefore interns every profile it meets
 in a table of its own call, so equal profiles are one object that keeps its
 views, and keeps a serial and a parallel composition table keyed by the ids
 of two interned operands: each distinct pair is composed once per call.  The
-tables die with the call: saturations compose each pair once anyway, and a
-context that kept them would only grow.
+tables die with the call, and a context that kept them would only grow.
+``reachable_profiles`` is a worklist in the order profiles turn up: each
+profile, when taken, is composed with itself and every profile before it,
+so it composes each ordered serial pair once, and runs ``op_parallel``,
+which reads only the two ``par_map`` images, once per unordered image pair.
 
 Everything is computed on a normalized, alternative-form working copy of the
 grammar (built once per ``RecognizerCtx``); languages are unchanged by that
@@ -52,6 +57,7 @@ from __future__ import annotations
 import dataclasses
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from typing import Optional, Union
 
 from .grammar import (
@@ -201,7 +207,6 @@ class SSpace:
         for lhs, head, rem in serial_rules:
             steps[index[head]].append((index[lhs], 1 << index[rem]))
         self.steps = tuple(map(tuple, steps))
-        self._indices: dict = {}  # S-remainder mask -> its indices, shared by left views
 
     # -- building and reading packed profiles ---------------------------------
 
@@ -261,27 +266,33 @@ class SSpace:
     # -- the views of profiles packed over this space ---------------------------
 
     def left(self, h: SProfile) -> tuple:
-        """Flat triples, one per row: the S-name's index, the row's
-        S-remainder indices and its P-remainder bits."""
+        """The rows as ``op_serial`` reads them on the left: the S-name of
+        each row, the first S-remainder of each row (``ns`` for a row without
+        one), the rows with further S-remainders as pairs (row position,
+        those S-remainders) and the rows with P-remainders as pairs (row
+        position, P-remainder bits)."""
         v = h._left
         if v is None:
-            rows, s_bits, p_bits = h.rows, self.s_bits, self.p_bits
-            indices = self._indices
-            out = []
-            for k in range(0, len(rows), 2):
-                m = rows[k + 1] & s_bits
-                ss = indices.get(m)
-                if ss is None:
-                    ss = indices[m] = tuple(_set_bits(m))
-                out += (rows[k], ss, rows[k + 1] & p_bits)
-            v = h._left = tuple(out)
+            rows, ns, s_bits, p_bits = h.rows, self.ns, self.s_bits, self.p_bits
+            first, more, pend = [], [], []
+            for k, r in enumerate(rows[1::2]):
+                s = r & s_bits
+                low = s & -s
+                first.append(low.bit_length() - 1 if low else ns)
+                if s ^ low:
+                    more.append((k, tuple(_set_bits(s ^ low))))
+                if r & p_bits:
+                    pend.append((k, r & p_bits))
+            v = h._left = (rows[0::2], tuple(first), tuple(more), tuple(pend))
         return v
 
     def heads(self, h: SProfile) -> list:
-        """The rows indexed by S-name, 0 for an S-name without pairs."""
+        """The rows indexed by S-name, 0 for an S-name without pairs, and a
+        last 0 at index ``ns`` that ``left`` names for rows without an
+        S-remainder."""
         v = h._heads
         if v is None:
-            v = h._heads = [0] * self.ns
+            v = h._heads = [0] * (self.ns + 1)
             rows = h.rows
             for k in range(0, len(rows), 2):
                 v[rows[k]] = rows[k + 1]
@@ -489,23 +500,21 @@ def op_serial(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> SProfile:
     r1 = h1 if type(h1) is SProfile else sp.seq(h1)
     r2 = h2 if type(h2) is SProfile else sp.seq(h2)
     heads = sp.heads(r2)
-    fin = None
-    out = []
-    left = iter(sp.left(r1))
-    for i, ss, pbits in zip(left, left, left):
-        row = 0
+    names, first, more, pend = sp.left(r1)
+    # every row takes the right row its first S-remainder names; only rows
+    # with more remainders, or with P-remainders, need a step of their own
+    out = list(map(heads.__getitem__, first))
+    for k, ss in more:
         for j in ss:
-            row |= heads[j]
-        if pbits:
-            # a P-remainder must derive the whole right part as one
-            # finished layer
-            if fin is None:
-                fin = sp.finished(sp.par(h2) if type(h2) is SProfile else h2)
+            out[k] |= heads[j]
+    if pend:
+        # a P-remainder must derive the whole right part as one finished
+        # layer
+        fin = sp.finished(sp.par(h2) if type(h2) is SProfile else h2)
+        for k, pbits in pend:
             if pbits & fin:
-                row |= sp.bot
-        if row:
-            out += (i, row)
-    return sp.make(tuple(out))
+                out[k] |= sp.bot
+    return sp.make(tuple(chain.from_iterable(compress(zip(names, out), out))))
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +611,9 @@ def _check_cap(cap: Optional[int]) -> None:
         raise ValueError(f"cap must not be negative, got {cap}")
 
 
-def reachable_profiles(ctx: RecognizerCtx, cap: Optional[int] = None) -> ReachResult:
+def reachable_profiles(
+    ctx: RecognizerCtx, cap: Optional[int] = None, stats: Optional[dict] = None
+) -> ReachResult:
     """Close the bridge profiles under both composition laws.
 
     Every profile of an actual graph shows up here; the closure can be larger
@@ -610,27 +621,59 @@ def reachable_profiles(ctx: RecognizerCtx, cap: Optional[int] = None) -> ReachRe
     by the counting argument in :func:`spr.decision.bound_cardinality`.  Stops
     unsaturated, holding exactly ``cap`` profiles, once a profile beyond the
     first ``cap`` turns up.  A negative ``cap`` raises ``ValueError``.
+
+    A worklist in the order profiles turn up: profile ``i`` is composed with
+    every profile ``j <= i`` when it is taken, in both serial orders and in
+    parallel, so each ordered serial pair is composed once.  ``op_parallel``
+    reads only the two ``par_map`` images and commutes, so it runs once per
+    unordered pair of distinct images.  Membership is tested on the packed
+    ``rows`` and ``entries``.  ``stats`` receives the effort as
+    ``eval_graph`` reports it: ``compositions``, ``table_hits`` (parallel
+    compositions skipped for an image pair already composed) and
+    ``profiles``.
     """
     _check_cap(cap)
-    bridges = list(dict.fromkeys(ctx.bridge_profiles[a] for a in ctx.grammar.alphabet))
-    if cap is not None and len(bridges) > cap:
-        return ReachResult(set(bridges[:cap]), False)
-    profiles = set(bridges)
-    frontier = bridges
-    while frontier:
-        known = list(profiles)
-        new = set()
-        for x in frontier:
-            for y in known:
-                for h in (
-                    op_serial(x, y, ctx),
-                    op_serial(y, x, ctx),
-                    op_parallel(x, y, ctx),
-                ):
-                    if h not in profiles and h not in new:
-                        if cap is not None and len(profiles) + len(new) == cap:
-                            return ReachResult(profiles | new, False)
-                        new.add(h)
-        profiles |= new
-        frontier = list(new)
-    return ReachResult(profiles, True)
+    sp = ctx.sspace
+    found = list(dict.fromkeys(ctx.bridge_profiles[a] for a in ctx.grammar.alphabet))
+    serial_keys = {h.rows for h in found}
+    parallel_keys: set = set()
+    image_ids: dict = {}  # entries of a par_map image -> its id
+    images: list = []  # the image id of each profile taken so far
+    composed: set = set()  # (id, id) image pairs that op_parallel has seen
+    n_serial = hits = 0
+
+    def result(saturated):
+        if stats is not None:
+            stats.update(compositions=n_serial + len(composed), table_hits=hits,
+                         profiles=len(found))
+        return ReachResult(set(found), saturated)
+
+    if cap is not None and len(found) > cap:
+        del found[cap:]
+        return result(False)
+    for x in found:  # grows while it is walked
+        image = x if type(x) is PProfile else sp.par(x)
+        a = image_ids.setdefault(image.entries, len(image_ids))
+        images.append(a)
+        for y, b in zip(found, images):
+            made = (op_serial(x, y, ctx),) if y is x else (
+                op_serial(x, y, ctx), op_serial(y, x, ctx))
+            n_serial += len(made)
+            for h in made:
+                if h.rows not in serial_keys:
+                    if len(found) == cap:
+                        return result(False)
+                    serial_keys.add(h.rows)
+                    found.append(h)
+            pair = (a, b) if a < b else (b, a)
+            if pair in composed:
+                hits += 1
+                continue
+            composed.add(pair)
+            h = op_parallel(x, y, ctx)
+            if h.entries not in parallel_keys:
+                if len(found) == cap:
+                    return result(False)
+                parallel_keys.add(h.entries)
+                found.append(h)
+    return result(True)

@@ -351,6 +351,23 @@ def test_stats_on_a_bound_too_long_to_print(gfile, capsys):
     assert data["serial_profiles"] + data["parallel_profiles"] == 50
 
 
+def test_stats_reports_the_saturation_effort(gfile, capsys):
+    assert run(["stats", gfile(UNIV_TEXT)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    effort = dict(line.split(": ") for line in lines[3:5])
+    assert set(effort) == {"compositions", "table hits"}
+    assert int(effort["compositions"]) > 0 and int(effort["table hits"]) >= 0
+    assert run(["--json", "stats", gfile(UNIV_TEXT)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert set(data) == {"serial_profiles", "parallel_profiles", "saturated", "bound",
+                         "bound_bits", "working_nonterminals", "stats"}
+    assert data["stats"] == {"compositions": int(effort["compositions"]),
+                             "table_hits": int(effort["table hits"]),
+                             "profiles": 11}
+    assert run(["--json", "--cap", "4", "stats", gfile(UNIV_TEXT)]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["profiles"] == 4
+
+
 def test_stats_json_reports_bound_bits(gfile, capsys):
     assert run(["--json", "stats", gfile(UNIV_TEXT)]) == 0
     data = json.loads(capsys.readouterr().out)

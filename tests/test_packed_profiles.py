@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from spr.grammar import RuleC, RuleD
+from spr.grammar import RuleC, RuleD, parse_grammar
 from spr.oracle import gen_random_grammar
 from spr.recognizer import (
     EMPTY_SPROFILE,
@@ -222,3 +222,78 @@ def test_profile_operations_are_monotone(seed):
         assert _contained(op_parallel(small, k, ctx), op_parallel(big, k, ctx))
         assert _contained(op_parallel(k, small, ctx), op_parallel(k, big, ctx))
         assert not accepts(small, ctx) or accepts(big, ctx)
+
+
+# ---------------------------------------------------------------------------
+# the row gather of op_serial on every row shape it treats apart
+# ---------------------------------------------------------------------------
+
+# its working form keeps one S-name, s, beside the P-name p
+ONE_S_TEXT = """\
+alphabet: a
+pnonterminals: p
+snonterminals: s
+axioms: s
+rules:
+s -> p . s
+s -> p . p
+p -> s || s
+s -> a
+"""
+
+
+def _shaped_profiles(ctx, rng):
+    """Serial profiles whose rows take every shape: only ⊥, only
+    P-remainders, one S-remainder, all S-remainders, and mixes, one row or
+    several; then random pair sets."""
+    names = ctx.sspace.names
+    ns = ctx.sspace.ns
+    snames, rems = names[:ns], names[ns:-1]
+    pairs = [(s, q) for s in snames for q in names]
+    shapes = []
+    for s in snames:
+        shapes += [
+            {(s, None)},
+            {(s, p) for p in rems},
+            {(s, None)} | {(s, p) for p in rems},
+            {(s, snames[-1])},
+            {(s, t) for t in snames},
+            {(s, q) for q in names},
+        ]
+    shapes += [set().union(*shapes[k::6]) for k in range(6)]
+    shapes += [{pq for pq in pairs if rng.random() < 0.4} for _ in range(20)]
+    return [ctx.sspace.pack(pq) for pq in shapes]
+
+
+@pytest.mark.parametrize("name", ["univ", "chain", "bundle", "one_s", "seed44", "seed43"])
+def test_op_serial_gathers_every_row_shape(name, request):
+    if name == "one_s":
+        g = parse_grammar(ONE_S_TEXT)
+    elif name.startswith("seed"):
+        g = gen_random_grammar(int(name[4:]))
+    else:
+        g = request.getfixturevalue(name)
+    ctx = build_ctx(g)
+    sp, ref = ctx.sspace, PairSets(ctx)
+    serial = _shaped_profiles(ctx, random.Random(name))
+    parallel = [h for h in sample_profiles(ctx, cap=40) if isinstance(h, PProfile)]
+    # parallel operands: closure values and the images of the shaped ones
+    parallel += [par_map(h, ctx) for h in serial[:12]]
+    shapes = set()
+    for h1, h2 in itertools.product(serial + parallel, repeat=2):
+        assert op_serial(h1, h2, ctx).pairs == ref.op_serial(h1, h2)
+        _, first, more, pend = sp.left(h1 if isinstance(h1, SProfile) else sp.seq(h1))
+        fin = sp.finished(par_map(h2, ctx))
+        shapes.add(("left", type(h1).__name__))
+        shapes.add(("right", type(h2).__name__))
+        if sp.ns in first:
+            shapes.add("no S-remainder")
+        if more:
+            shapes.add("more S-remainders")
+        shapes.update("finished" if pbits & fin else "unfinished" for _, pbits in pend)
+    want = {("left", "SProfile"), ("left", "PProfile"), ("right", "SProfile"),
+            ("right", "PProfile"), "no S-remainder", "finished", "unfinished"}
+    if sp.ns > 1:
+        want.add("more S-remainders")
+    assert want <= shapes
+    assert (sp.ns == 1) == (name in ("one_s", "seed44"))

@@ -331,6 +331,93 @@ def test_reachable_profiles_reject_a_negative_cap(univ):
     assert not res.saturated and res.profiles == set()
 
 
+def _round_closure(ctx):
+    """The closure by rounds, the reference for the worklist: each round
+    composes every new profile with every known one, both ways round."""
+    profiles = set(ctx.bridge_profiles.values())
+    frontier = list(profiles)
+    while frontier:
+        known = list(profiles)
+        new = set()
+        for x in frontier:
+            for y in known:
+                new.update((op_serial(x, y, ctx), op_serial(y, x, ctx), op_parallel(x, y, ctx)))
+        new -= profiles
+        profiles |= new
+        frontier = list(new)
+    return profiles
+
+
+def _sorted_str(profiles):
+    return sorted(_profile_key(h) for h in profiles)
+
+
+CLOSURE_GRAMMARS = ["univ", "chain", "bundle", "even_bundle"] + [f"random{s}" for s in range(60)]
+
+
+def _grammar(name, request):
+    if name.startswith("random"):
+        return gen_random_grammar(int(name[len("random"):]))
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", CLOSURE_GRAMMARS)
+def test_worklist_closure_matches_the_round_closure(name, request):
+    ctx = build_ctx(_grammar(name, request))
+    full = reachable_profiles(ctx)
+    assert full.saturated
+    assert len(full.profiles) == len(_sorted_str(full.profiles))
+    assert _sorted_str(full.profiles) == _sorted_str(_round_closure(ctx))
+    want = set(_sorted_str(full.profiles))
+    for cap in sorted({0, 1, len(full.profiles) // 2, len(full.profiles) - 1}):
+        capped = reachable_profiles(ctx, cap=cap)
+        assert not capped.saturated and len(capped.profiles) == cap
+        assert set(_sorted_str(capped.profiles)) <= want
+
+
+def _count_compositions(monkeypatch, ctx):
+    """Run a full saturation with counting ``op_serial``/``op_parallel``: the
+    ordered serial operand pairs and the unordered parallel image pairs."""
+    serial, parallel = [], []
+
+    def key(h):
+        return ("S", h.rows) if isinstance(h, SProfile) else ("P", h.entries)
+
+    def counted_serial(x, y, c):
+        serial.append((key(x), key(y)))
+        return op_serial(x, y, c)
+
+    def counted_parallel(x, y, c):
+        parallel.append(frozenset((par_map(x, c).entries, par_map(y, c).entries)))
+        return op_parallel(x, y, c)
+
+    monkeypatch.setattr(recognizer, "op_serial", counted_serial)
+    monkeypatch.setattr(recognizer, "op_parallel", counted_parallel)
+    stats = {}
+    res = reachable_profiles(ctx, stats=stats)
+    monkeypatch.undo()
+    return res, stats, serial, parallel
+
+
+@pytest.mark.parametrize("name", ["univ", "chain", "bundle", "even_bundle", "random32", "random43"])
+def test_saturation_composes_each_pair_once(name, request, monkeypatch):
+    ctx = build_ctx(_grammar(name, request))
+    res, stats, serial, parallel = _count_compositions(monkeypatch, ctx)
+    assert res.saturated
+    keys = [("S", h.rows) if isinstance(h, SProfile) else ("P", h.entries) for h in res.profiles]
+    # every ordered pair of the closure exactly once
+    assert len(serial) == len(set(serial))
+    assert set(serial) == set(itertools.product(keys, repeat=2))
+    # every unordered pair of distinct par_map images exactly once
+    images = {par_map(h, ctx).entries for h in res.profiles}
+    assert len(parallel) == len(set(parallel)) == len(images) * (len(images) + 1) // 2
+    assert stats == {
+        "compositions": len(serial) + len(parallel),
+        "table_hits": len(res.profiles) * (len(res.profiles) + 1) // 2 - len(parallel),
+        "profiles": len(res.profiles),
+    }
+
+
 # ---------------------------------------------------------------------------
 # packed terms against the frozenset terms of oversized boxes
 # ---------------------------------------------------------------------------
