@@ -42,10 +42,13 @@ in a table of its own call, so equal profiles are one object that keeps its
 views, and keeps a serial and a parallel composition table keyed by the ids
 of two interned operands: each distinct pair is composed once per call.  The
 tables die with the call, and a context that kept them would only grow.
-``reachable_profiles`` is a worklist in the order profiles turn up: each
-profile, when taken, is composed with itself and every profile before it,
-so it composes each ordered serial pair once, and runs ``op_parallel``,
-which reads only the two ``par_map`` images, once per unordered image pair.
+``reachable_profiles`` enumerates the algebra from its generators.  Both
+laws are associative and ``op_parallel`` commutes, so every profile of a
+graph is a product of layer atoms: a worklist in the order profiles turn up
+composes each profile on the right with every *serial atom* (a bridge or
+parallel profile), and each distinct ``par_map`` image with every *parallel
+atom* (the image of a bridge or serial profile), each pair once.  That is
+n times the number of atoms compositions, not n².
 
 Everything is computed on a normalized, alternative-form working copy of the
 grammar (built once per ``RecognizerCtx``); languages are unchanged by that
@@ -614,66 +617,89 @@ def _check_cap(cap: Optional[int]) -> None:
 def reachable_profiles(
     ctx: RecognizerCtx, cap: Optional[int] = None, stats: Optional[dict] = None
 ) -> ReachResult:
-    """Close the bridge profiles under both composition laws.
+    """The profiles of all graphs over the alphabet: the bridge profiles
+    closed under both composition laws.
 
-    Every profile of an actual graph shows up here; the closure can be larger
-    (it composes profiles of incompatible shapes too), but it is still bounded
-    by the counting argument in :func:`spr.decision.bound_cardinality`.  Stops
-    unsaturated, holding exactly ``cap`` profiles, once a profile beyond the
-    first ``cap`` turns up.  A negative ``cap`` raises ``ValueError``.
+    ``op_serial`` and ``op_parallel`` are associative and ``op_parallel``
+    commutes, so the closure holds exactly the profiles of graphs, and it
+    is bounded by the counting argument in
+    :func:`spr.decision.bound_cardinality`.  Stops unsaturated, holding
+    exactly ``cap`` profiles, once a profile beyond the first ``cap`` turns
+    up.  A negative ``cap`` raises ``ValueError``.
 
-    A worklist in the order profiles turn up: profile ``i`` is composed with
-    every profile ``j <= i`` when it is taken, in both serial orders and in
-    parallel, so each ordered serial pair is composed once.  ``op_parallel``
-    reads only the two ``par_map`` images and commutes, so it runs once per
-    unordered pair of distinct images.  Membership is tested on the packed
-    ``rows`` and ``entries``.  ``stats`` receives the effort as
-    ``eval_graph`` reports it: ``compositions``, ``table_hits`` (parallel
-    compositions skipped for an image pair already composed) and
-    ``profiles``.
+    A worklist in the order profiles turn up that multiplies by the atoms of
+    a layer only, never by every other profile.  A serial graph is a layer
+    of bridges and parallel graphs, so the *serial atoms* are the bridge
+    profiles and the parallel profiles: each profile, when taken, is
+    composed on the right with every serial atom taken so far, and a serial
+    atom, when taken, also on the right of every profile taken before it.
+    A parallel graph is a layer of bridges and serial graphs, and
+    ``op_parallel`` reads only ``par_map`` images, so the *parallel atoms*
+    are the images of the serial profiles: each distinct image, when first
+    taken, is composed with every parallel atom so far, and a new parallel
+    atom with every image taken that is not one.  So each ordered pair
+    (profile, serial atom) is composed once, and each unordered pair (image,
+    parallel atom) once.  Membership is tested on the packed ``rows`` and
+    ``entries``.  ``stats`` receives the effort as ``eval_graph`` reports
+    it: ``compositions``, ``table_hits`` (profiles taken whose ``par_map``
+    image an earlier profile had, so their parallel products are already
+    made) and ``profiles``.
     """
     _check_cap(cap)
-    sp = ctx.sspace
     found = list(dict.fromkeys(ctx.bridge_profiles[a] for a in ctx.grammar.alphabet))
+    n_bridges = len(found)
+    hits = 0
+
+    def compositions():
+        """Every composition of the schedule, made when the walk reaches it."""
+        nonlocal hits
+        s_atoms: list = []  # the serial atoms taken so far
+        p_atoms: list = []  # the parallel atoms so far
+        plain: dict = {}  # entries -> the other images taken, in that order
+        seen: set = set()  # the entries of every image taken
+        for i, x in enumerate(found):  # grows while it is walked
+            if i < n_bridges or type(x) is PProfile:
+                s_atoms.append(x)
+                for j in range(i):
+                    yield op_serial(found[j], x, ctx)
+            for y in s_atoms:
+                yield op_serial(x, y, ctx)
+            image = par_map(x, ctx)
+            key = image.entries
+            if key in seen:
+                hits += 1
+            else:
+                seen.add(key)
+                plain[key] = image
+                for t in p_atoms:
+                    yield op_parallel(image, t, ctx)
+            if type(x) is SProfile and key in plain:
+                for t in plain.values():
+                    yield op_parallel(t, image, ctx)
+                del plain[key]
+                p_atoms.append(image)
+
     serial_keys = {h.rows for h in found}
     parallel_keys: set = set()
-    image_ids: dict = {}  # entries of a par_map image -> its id
-    images: list = []  # the image id of each profile taken so far
-    composed: set = set()  # (id, id) image pairs that op_parallel has seen
-    n_serial = hits = 0
+    made = 0
 
     def result(saturated):
         if stats is not None:
-            stats.update(compositions=n_serial + len(composed), table_hits=hits,
-                         profiles=len(found))
+            stats.update(compositions=made, table_hits=hits, profiles=len(found))
         return ReachResult(set(found), saturated)
 
     if cap is not None and len(found) > cap:
         del found[cap:]
         return result(False)
-    for x in found:  # grows while it is walked
-        image = x if type(x) is PProfile else sp.par(x)
-        a = image_ids.setdefault(image.entries, len(image_ids))
-        images.append(a)
-        for y, b in zip(found, images):
-            made = (op_serial(x, y, ctx),) if y is x else (
-                op_serial(x, y, ctx), op_serial(y, x, ctx))
-            n_serial += len(made)
-            for h in made:
-                if h.rows not in serial_keys:
-                    if len(found) == cap:
-                        return result(False)
-                    serial_keys.add(h.rows)
-                    found.append(h)
-            pair = (a, b) if a < b else (b, a)
-            if pair in composed:
-                hits += 1
-                continue
-            composed.add(pair)
-            h = op_parallel(x, y, ctx)
-            if h.entries not in parallel_keys:
-                if len(found) == cap:
-                    return result(False)
-                parallel_keys.add(h.entries)
-                found.append(h)
+    for h in compositions():
+        made += 1
+        if type(h) is SProfile:
+            keys, key = serial_keys, h.rows
+        else:
+            keys, key = parallel_keys, h.entries
+        if key not in keys:
+            if len(found) == cap:
+                return result(False)
+            keys.add(key)
+            found.append(h)
     return result(True)

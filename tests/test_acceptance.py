@@ -344,10 +344,15 @@ s -> h
 """)
         base = reachable_profiles(build_ctx(flat))
         assert base.saturated
-        # ...while the adversarial generator keeps finding new parallel
-        # profiles long past the cap.
+        # ...while the adversarial generator's closure is still growing at
+        # the cap, thousands of times larger: its capped closure holds 29,989
+        # serial and 11 parallel profiles, against 2 and 2 for the flat
+        # grammar.  How the cap splits between serial and parallel profiles
+        # depends on the order they turn up in; the sizes below do not.
         grown = reachable_profiles(build_ctx(gen_worstcase(2)), cap=30000)
         assert not grown.saturated
+        assert len(grown.profiles) == 30000
+        assert grown.n_serial > 1000 * len(base.profiles)
         assert grown.n_parallel > base.n_parallel
 
 

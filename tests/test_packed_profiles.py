@@ -1,11 +1,13 @@
-"""Packed serial profiles against the pair-set algebra they replaced, and the
-monotonicity that antichain pruning would rely on."""
+"""Packed serial profiles against the pair-set algebra they replaced, the
+monotonicity that antichain pruning would rely on, and the associativity and
+commutativity that saturation relies on."""
 
 import itertools
 import random
 
 import pytest
 
+from spr import termalg
 from spr.grammar import RuleC, RuleD, parse_grammar
 from spr.oracle import gen_random_grammar
 from spr.recognizer import (
@@ -222,6 +224,35 @@ def test_profile_operations_are_monotone(seed):
         assert _contained(op_parallel(small, k, ctx), op_parallel(big, k, ctx))
         assert _contained(op_parallel(k, small, ctx), op_parallel(k, big, ctx))
         assert not accepts(small, ctx) or accepts(big, ctx)
+
+
+# ---------------------------------------------------------------------------
+# the algebra laws the generator-driven saturation rests on
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("packed", [True, False])
+@pytest.mark.parametrize(
+    "name", ["univ", "chain", "bundle", "even_bundle"] + [f"seed{s}" for s in range(60)])
+def test_compositions_are_associative_and_parallel_commutes(name, packed, request, monkeypatch):
+    # reachable_profiles multiplies profiles by layer atoms only, which
+    # reaches every product only when these laws hold
+    if not packed:
+        monkeypatch.setattr(termalg, "BOX_LIMIT", 1)
+    if name.startswith("seed"):
+        ctx = build_ctx(gen_random_grammar(int(name[len("seed"):])))
+    else:
+        ctx = build_ctx(request.getfixturevalue(name))
+    if packed:
+        assert all(isinstance(sp, TermSpace) for sp in ctx.spaces.values())
+    profiles = sorted(sample_profiles(ctx, cap=40), key=key)
+    rng = random.Random(name)
+    for _ in range(100):
+        x, y, z = (rng.choice(profiles) for _ in range(3))
+        assert op_serial(op_serial(x, y, ctx), z, ctx) == op_serial(x, op_serial(y, z, ctx), ctx)
+        assert op_parallel(op_parallel(x, y, ctx), z, ctx) == op_parallel(
+            x, op_parallel(y, z, ctx), ctx)
+        assert op_parallel(x, y, ctx) == op_parallel(y, x, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -380,11 +380,8 @@ def _count_compositions(monkeypatch, ctx):
     ordered serial operand pairs and the unordered parallel image pairs."""
     serial, parallel = [], []
 
-    def key(h):
-        return ("S", h.rows) if isinstance(h, SProfile) else ("P", h.entries)
-
     def counted_serial(x, y, c):
-        serial.append((key(x), key(y)))
+        serial.append((_key(x), _key(y)))
         return op_serial(x, y, c)
 
     def counted_parallel(x, y, c):
@@ -399,21 +396,30 @@ def _count_compositions(monkeypatch, ctx):
     return res, stats, serial, parallel
 
 
+def _key(h):
+    return ("S", h.rows) if isinstance(h, SProfile) else ("P", h.entries)
+
+
 @pytest.mark.parametrize("name", ["univ", "chain", "bundle", "even_bundle", "random32", "random43"])
-def test_saturation_composes_each_pair_once(name, request, monkeypatch):
+def test_saturation_composes_each_profile_with_each_atom_once(name, request, monkeypatch):
     ctx = build_ctx(_grammar(name, request))
     res, stats, serial, parallel = _count_compositions(monkeypatch, ctx)
     assert res.saturated
-    keys = [("S", h.rows) if isinstance(h, SProfile) else ("P", h.entries) for h in res.profiles]
-    # every ordered pair of the closure exactly once
+    # serial atoms: the bridges and the parallel profiles; every profile of
+    # the closure on the left of every serial atom, exactly once
+    bridges = set(ctx.bridge_profiles.values())
+    s_atoms = [_key(h) for h in res.profiles if h in bridges or isinstance(h, PProfile)]
     assert len(serial) == len(set(serial))
-    assert set(serial) == set(itertools.product(keys, repeat=2))
-    # every unordered pair of distinct par_map images exactly once
+    assert set(serial) == set(itertools.product(map(_key, res.profiles), s_atoms))
+    # parallel atoms: the images of the serial profiles; every image of the
+    # closure with every parallel atom, exactly once per unordered pair
     images = {par_map(h, ctx).entries for h in res.profiles}
-    assert len(parallel) == len(set(parallel)) == len(images) * (len(images) + 1) // 2
+    p_atoms = {par_map(h, ctx).entries for h in res.profiles if isinstance(h, SProfile)}
+    assert len(parallel) == len(set(parallel))
+    assert set(parallel) == {frozenset((t, u)) for t in images for u in p_atoms}
     assert stats == {
         "compositions": len(serial) + len(parallel),
-        "table_hits": len(res.profiles) * (len(res.profiles) + 1) // 2 - len(parallel),
+        "table_hits": len(res.profiles) - len(images),
         "profiles": len(res.profiles),
     }
 
