@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Predicates exit 0 when they hold and 1 when they do not (printing a witness
-where one exists); malformed input exits 2.  ``--json`` switches every
+where one exists); malformed input, a saturation over its cap and running out
+of memory exit 2 with a message.  ``--json`` switches every
 command to a single machine-readable object on stdout.
 """
 
@@ -260,6 +261,10 @@ def run(argv=None) -> int:
     except (ParseError, GrammarError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # report below, once the traceback and the handler's data are freed
+    print("error: out of memory (try a smaller --cap)", file=sys.stderr)
+    return 2
 
 
 def entry() -> None:

@@ -3,19 +3,26 @@
 All of these reduce questions about infinite graph languages to finite
 saturations, and every saturation is one loop, ``_lightest``: Knuth's
 lightest-derivation search, which evaluates every derivation of a grammar
-into a finite algebra and keeps an edge-minimal witness per (nonterminal,
-value).
+into a finite algebra and keeps an edge-minimal derivation per (nonterminal,
+value).  A settled derivation is stored as back-pointers (its rule body and
+the settled entries it combines), not as a graph; ``_witness`` builds the
+graph of an entry only when a caller asks for it.
 
 * ``minimal_graphs``: the loop over the one-point algebra, so the smallest
   derivable graph per nonterminal; ``is_empty`` asks whether an axiom has one.
 * ``derivable_values``: the loop over the profiles of another grammar, so
   for every nonterminal all profiles of graphs it derives, each with an
-  edge-minimal witness.  Inclusion and filtering are read off from this.
+  edge-minimal witness.  Filtering is read off from this.
+* ``inclusion``: the same loop, stopped once the edge layer of the first
+  rejected axiom value is finished.
 * ``intersection_empty``: the loop over the first grammar's derivations in
   the product of the later grammars' profile algebras; it stops once the edge
   layer of the first common graph is finished.
 * ``bound_cardinality``: a closed-form bound on how many distinct profiles a
   grammar admits; reachability saturations stay below it.
+
+Inclusion and intersection build only the witnesses of their fewest-edge
+hits.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Optional
 
 from .grammar import Grammar, GrammarError, RuleFree, rule_rhs_term
@@ -63,8 +71,11 @@ class CapExceeded(RuntimeError):
 class DecisionResult:
     """Verdict plus optional counterexample; unpacks like (holds, witness).
 
-    ``stats`` carries saturation effort: distinct profile values stored,
-    worklist items processed, and wall-clock milliseconds.
+    ``stats`` carries the effort: ``profiles_explored`` (distinct values
+    settled), ``iterations`` (heap pops), and wall-clock milliseconds spent
+    in the saturation (``saturation_ms``), in building the witness
+    (``witness_ms``) and in the whole call (``wall_ms``, which also covers
+    compiling the recognizers and reading off the verdict).
     """
 
     holds: bool
@@ -90,16 +101,24 @@ def _point(*_):
 def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None, goal=None) -> dict:
     """For every nonterminal of ``g``: each value its derivations take in the
     algebra given by ``atom(label)``, ``ser(a, b)`` and ``par(a, b)``, mapped
-    to an edge-minimal witness graph.
+    to the settled entry of an edge-minimal derivation.
 
     Knuth's lightest-derivation search: candidates leave a heap in order of
     edges, and the first one for a (nonterminal, value) settles it.  A newly
     settled value re-evaluates only the rule bodies that use it, once per
     combination that holds it (semi-naive: the occurrences before the one
-    fixed to the new value take only older values).  ``stats`` receives the
-    values ``settled`` and the heap ``pops``; more than ``cap`` settled
-    values raise :class:`CapExceeded`, and a negative ``cap``
-    ``ValueError``.
+    fixed to the new value take only older values).  Each nonterminal keeps
+    its settled entries in an append-only list beside the ``value -> entry``
+    dict, so a combination reads the lists as they are and only a body that
+    names the new value's nonterminal twice or more slices off the older
+    ones.  ``stats`` receives the values ``settled`` and the heap ``pops``;
+    more than ``cap`` settled values raise :class:`CapExceeded`, and a
+    negative ``cap`` ``ValueError``.
+
+    An entry is ``(value, edges, body, combo)``: the rule body that derived
+    it and the entries of its nonterminal occurrences, left to right.  These
+    back-pointers stand in for the graph, which :func:`_witness` builds on
+    demand.
 
     With ``goal``, the first settled (x, value) with ``goal(x, value)`` fixes
     an edge limit: the loop finishes that edge layer, so every value of at
@@ -109,14 +128,16 @@ def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None, goal=None) -> di
     _check_cap(cap)
     bodies = [(r.lhs, rule_rhs_term(r)) for r in g.rules]
     occs = []
+    base = []  # each body's own edges: its atoms
     uses = defaultdict(list)  # nonterminal -> [(rule index, its positions)]
     for i, (_, t) in enumerate(bodies):
         names: list = []
-        fold_term(t, _point, names.append, _point, _point)
+        base.append(fold_term(t, lambda _: 1, lambda y: names.append(y) or 0, add, add))
         occs.append(names)
         for y in dict.fromkeys(names):
             uses[y].append((i, [j for j, n in enumerate(names) if n == y]))
     settled: dict = {x: {} for x in g.pnames + g.snames}
+    entries: dict = {x: [] for x in settled}  # settled entries, in settling order
     heap: list = []
     tick = itertools.count()
 
@@ -126,9 +147,8 @@ def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None, goal=None) -> di
         value = fold_term(t, atom, lambda _: next(it)[0], ser, par)
         if value in settled[lhs]:
             return
-        it = iter(combo)
-        wit = fold_term(t, Bridge, lambda _: next(it)[1], compose_serial, compose_parallel)
-        heapq.heappush(heap, (wit.edges, next(tick), lhs, value, wit))
+        edges = base[i] + sum(e[1] for e in combo)
+        heapq.heappush(heap, (edges, next(tick), lhs, value, i, combo))
 
     for i, names in enumerate(occs):
         if not names:
@@ -136,22 +156,25 @@ def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None, goal=None) -> di
     total = pops = 0
     limit = math.inf  # edges of the first value meeting the goal
     while heap and heap[0][0] <= limit:
-        edges, _, x, value, wit = heapq.heappop(heap)
+        edges, _, x, value, i, combo = heapq.heappop(heap)
         pops += 1
         pool = settled[x]
         if value in pool:
             continue
-        pool[value] = wit
+        entry = (value, edges, bodies[i][1], combo)
+        pool[value] = entry
+        full = entries[x]
+        full.append(entry)
         total += 1
         if limit == math.inf:
             if goal is not None and goal(x, value):
                 limit = edges
             elif cap is not None and total > cap:
                 raise CapExceeded(cap)
-        full = list(pool.items())
-        old, new = full[:-1], full[-1:]
+        new = [entry]
         for i, positions in uses[x]:
-            pools = [list(settled[y].items()) for y in occs[i]]
+            pools = [entries[y] for y in occs[i]]
+            old = full[:-1] if len(positions) > 1 else None
             for j in positions:
                 pools[j] = new
                 for combo in itertools.product(*pools):
@@ -164,13 +187,40 @@ def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None, goal=None) -> di
     return settled
 
 
+def _witness(entry, built: dict) -> SPGraph:
+    """The graph of a settled entry of :func:`_lightest`, folded from its
+    back-pointers with ``compose_serial`` and ``compose_parallel``.
+
+    ``built`` maps ``id(entry)`` to graphs already built, for the length of
+    one caller's use of the entries (which keep those ids alive), so an
+    entry shared by several derivations is built once.  Iterative, so deep
+    derivations do not hit the recursion limit.
+    """
+    stack = [entry]
+    while stack:
+        e = stack[-1]
+        if id(e) in built:
+            stack.pop()
+            continue
+        todo = [c for c in e[3] if id(c) not in built]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        it = iter(e[3])
+        built[id(e)] = fold_term(
+            e[2], Bridge, lambda _: built[id(next(it))], compose_serial, compose_parallel
+        )
+    return built[id(entry)]
+
+
 # ---------------------------------------------------------------------------
 # Emptiness
 # ---------------------------------------------------------------------------
 
 
 def productive_nonterminals(g: Grammar) -> set:
-    return set(minimal_graphs(g))
+    return {x for x, vs in _lightest(g, _point, _point, _point).items() if vs}
 
 
 def is_empty(g: Grammar) -> bool:
@@ -180,7 +230,8 @@ def is_empty(g: Grammar) -> bool:
 def minimal_graphs(g: Grammar) -> dict:
     """Edge-minimal derivable graph for each productive nonterminal."""
     values = _lightest(g, _point, _point, _point)
-    return {x: vs[None] for x, vs in values.items() if vs}
+    built: dict = {}
+    return {x: _witness(vs[None], built) for x, vs in values.items() if vs}
 
 
 def emptiness_witness(g: Grammar) -> Optional[SPGraph]:
@@ -195,17 +246,32 @@ def _lightness(w: SPGraph):
     return w.edges, w.key
 
 
-def _verdict(values: dict, axioms, found, effort: dict, t0: float) -> DecisionResult:
-    """Read a decision off the loop's ``values``: it holds when no value of an
-    axiom is ``found``, and fails with the lightest witness of those that are.
-    ``effort`` is what :func:`_lightest` put in its ``stats``."""
-    hits = [w for x in axioms for v, w in values[x].items() if found(v)]
+def _decide(g: Grammar, ops, found, cap, t0: float) -> DecisionResult:
+    """Run the loop over ``g``'s derivations in the algebra ``ops`` (atom,
+    ser, par) until the edge layer of the first axiom value that is ``found``
+    is finished.  The decision holds when no value of an axiom is ``found``,
+    and fails with the lightest witness of those that are: only the hits of
+    fewest edges are built, and ranked by :func:`_lightness`."""
+    axioms = set(g.axioms)
+    effort: dict = {}
+    t1 = time.perf_counter()
+    values = _lightest(g, *ops, cap, effort, lambda x, value: x in axioms and found(value))
+    t2 = time.perf_counter()
+    hits = [e for x in axioms for v, e in values[x].items() if found(v)]
+    fewest = min((e[1] for e in hits), default=None)
+    built: dict = {}
+    witness = min(
+        (_witness(e, built) for e in hits if e[1] == fewest), key=_lightness, default=None
+    )
+    t3 = time.perf_counter()
     stats = {
         "profiles_explored": effort["settled"],
         "iterations": effort["pops"],
-        "wall_ms": (time.perf_counter() - t0) * 1000.0,
+        "saturation_ms": (t2 - t1) * 1000.0,
+        "witness_ms": (t3 - t2) * 1000.0,
+        "wall_ms": (t3 - t0) * 1000.0,
     }
-    return DecisionResult(not hits, min(hits, key=_lightness, default=None), stats)
+    return DecisionResult(not hits, witness, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +294,28 @@ def derivable_values(
     """For every nonterminal of ``g``: all profiles (w.r.t. ``ctx``) of graphs
     it derives, mapped to an edge-minimal witness graph.  When given,
     ``stats`` receives the effort: values ``settled`` and heap ``pops``."""
+    _check_alphabet(g, ctx)
+    values = _lightest(g, *_profile_ops(ctx), cap, stats)
+    built: dict = {}
+    return {x: {v: _witness(e, built) for v, e in vs.items()} for x, vs in values.items()}
+
+
+def _check_alphabet(g: Grammar, ctx: RecognizerCtx) -> None:
     foreign = set(g.alphabet) - set(ctx.grammar.alphabet)
     if foreign:
         raise GrammarError(f"alphabet mismatch: {sorted(foreign)} unknown to the recognizer")
-    return _lightest(g, *_profile_ops(ctx), cap, stats)
 
 
 def inclusion(g1: Grammar, g2: Grammar, cap: Optional[int] = None) -> DecisionResult:
     """Is every graph of ``g1`` also one of ``g2``?  Returns (holds, witness)
-    with an edge-minimal counterexample when it does not hold."""
+    with an edge-minimal counterexample when it does not hold.
+
+    The loop over ``g1``'s derivations in ``g2``'s profiles stops once the
+    edge layer of the first rejected axiom value is finished."""
     t0 = time.perf_counter()
     ctx2 = build_ctx(g2)
-    effort: dict = {}
-    values = derivable_values(g1, ctx2, cap, effort)
-    return _verdict(values, g1.axioms, lambda v: not accepts(v, ctx2), effort, t0)
+    _check_alphabet(g1, ctx2)
+    return _decide(g1, _profile_ops(ctx2), lambda v: not accepts(v, ctx2), cap, t0)
 
 
 def intersection_empty(grammars, cap: Optional[int] = None) -> DecisionResult:
@@ -261,7 +335,6 @@ def intersection_empty(grammars, cap: Optional[int] = None) -> DecisionResult:
         raise ValueError("need at least one grammar")
     first, *rest = grammars
     ctxs = [build_ctx(g) for g in rest]
-    axioms = set(first.axioms)
 
     # packed over each context's own space, as everything the loop composes
     empties = [ctx.sspace.make(()) for ctx in ctxs]
@@ -278,11 +351,7 @@ def intersection_empty(grammars, cap: Optional[int] = None) -> DecisionResult:
     def common(value):
         return all(accepts(h, ctx) for ctx, h in zip(ctxs, value))
 
-    effort: dict = {}
-    values = _lightest(
-        first, atom, ser, par, cap, effort, lambda x, value: x in axioms and common(value)
-    )
-    return _verdict(values, first.axioms, common, effort, t0)
+    return _decide(first, (atom, ser, par), common, cap, t0)
 
 
 def filter_grammar(

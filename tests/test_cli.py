@@ -194,7 +194,9 @@ def test_include_json_shape(gfile, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["holds"] is False
     assert data["witness"] == "b"
-    assert set(data["stats"]) == {"profiles_explored", "iterations", "wall_ms"}
+    assert set(data["stats"]) == {
+        "profiles_explored", "iterations", "saturation_ms", "witness_ms", "wall_ms"
+    }
 
 
 def test_filter_emits_a_grammar(gfile, capsys):
@@ -377,7 +379,9 @@ def test_stats_json_reports_bound_bits(gfile, capsys):
 def test_empty_reports_its_effort(gfile, capsys):
     assert run(["--json", "empty", gfile(CHAIN_TEXT)]) == 1
     data = json.loads(capsys.readouterr().out)
-    assert set(data["stats"]) == {"profiles_explored", "iterations", "wall_ms"}
+    assert set(data["stats"]) == {
+        "profiles_explored", "iterations", "saturation_ms", "witness_ms", "wall_ms"
+    }
     assert data["stats"]["profiles_explored"] == 2  # p and s
     assert data["stats"]["iterations"] >= 2
 

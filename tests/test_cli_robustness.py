@@ -5,7 +5,11 @@ through ``check``, ``stats``, ``empty`` and ``member``."""
 
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 
 from spr.cli import run
 from spr.grammar import format_grammar
-from spr.oracle import gen_random_grammar
+from spr.oracle import gen_random_grammar, gen_worstcase
 from spr.spgraph import format_graph, random_graph
 
 # pieces spliced into a text to corrupt it (no digits but "0", so an
@@ -97,3 +101,32 @@ def test_grammar_commands_end_in_an_exit_code(text):
 @given(grammar_texts(), term_texts())
 def test_member_ends_in_an_exit_code(grammar_file, grammar, term):
     call(["member", "-g", grammar_file(grammar), "-t", "-"], stdin=term)
+
+
+# Runs ``spr stats`` on the k = 2 string-matching grammar at the default cap,
+# which needs gigabytes, with this process's address space limited to 64 MB
+# above what it maps after the imports.
+OUT_OF_MEMORY = """\
+import resource, sys
+from spr.cli import entry
+with open("/proc/self/status") as f:
+    size = next(int(line.split()[1]) * 1024 for line in f if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (size + 64 * 2**20, resource.RLIM_INFINITY))
+sys.argv = ["spr", "stats", sys.argv[1]]
+entry()
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_running_out_of_memory_ends_in_exit_2(tmp_path):
+    grammar = tmp_path / "wc2.spg"
+    grammar.write_text(format_grammar(gen_worstcase(2)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", OUT_OF_MEMORY, str(grammar)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (2, "error: out of memory (try a smaller --cap)\n")
+    assert proc.stdout == ""

@@ -1,3 +1,7 @@
+import heapq
+import itertools
+from collections import defaultdict
+
 import pytest
 
 from conftest import EVEN_CHAIN_TEXT
@@ -14,10 +18,19 @@ from spr.decision import (
     minimal_graphs,
     productive_nonterminals,
 )
-from spr.grammar import GrammarError, parse_grammar, validate_regular
+from spr.grammar import GrammarError, parse_grammar, rule_rhs_term, validate_regular
 from spr.oracle import gen_random_grammar, gen_worstcase, lang_from, language_upto
-from spr.recognizer import accepts, build_ctx, eval_graph, member, reachable_profiles
-from spr.spgraph import format_graph
+from spr.recognizer import (
+    accepts,
+    bridge_profile,
+    build_ctx,
+    eval_graph,
+    member,
+    op_parallel,
+    op_serial,
+    reachable_profiles,
+)
+from spr.spgraph import Bridge, compose_parallel, compose_serial, fold_term, format_graph
 
 # ---------------------------------------------------------------------------
 # emptiness
@@ -53,7 +66,9 @@ def test_decision_result_protocol(ga, gab):
     holds, witness = res
     assert (holds, witness) == (True, None)
     assert bool(res)
-    assert set(res.stats) == {"profiles_explored", "iterations", "wall_ms"}
+    assert set(res.stats) == {
+        "profiles_explored", "iterations", "saturation_ms", "witness_ms", "wall_ms"
+    }
     assert res.stats["profiles_explored"] >= 1
     assert not DecisionResult(False)
 
@@ -354,3 +369,141 @@ def test_saturation_stays_below_the_bound(univ, ga, gab, chain, bundle, even_bun
         out = reachable_profiles(ctx)
         assert out.saturated
         assert len(out.profiles) <= bound_cardinality(g, ctx)
+
+
+# ---------------------------------------------------------------------------
+# the search against an eager reference, and inclusion's early stop
+# ---------------------------------------------------------------------------
+
+
+def eager_derivable_values(g, ctx):
+    """The lightest-derivation search as it was written with a witness graph
+    built for every candidate pushed and the pools copied per settled value:
+    (values, settled, pops), with ``values`` as ``derivable_values`` returns
+    them."""
+
+    def point(*_):
+        pass
+
+    bodies = [(r.lhs, rule_rhs_term(r)) for r in g.rules]
+    occs = []
+    uses = defaultdict(list)
+    for i, (_, t) in enumerate(bodies):
+        names = []
+        fold_term(t, point, names.append, point, point)
+        occs.append(names)
+        for y in dict.fromkeys(names):
+            uses[y].append((i, [j for j, n in enumerate(names) if n == y]))
+    settled = {x: {} for x in g.pnames + g.snames}
+    heap = []
+    tick = itertools.count()
+
+    def push(i, combo):
+        lhs, t = bodies[i]
+        it = iter(combo)
+        value = fold_term(
+            t,
+            lambda a: bridge_profile(a, ctx),
+            lambda _: next(it)[0],
+            lambda h1, h2: op_serial(h1, h2, ctx),
+            lambda h1, h2: op_parallel(h1, h2, ctx),
+        )
+        if value in settled[lhs]:
+            return
+        it = iter(combo)
+        wit = fold_term(t, Bridge, lambda _: next(it)[1], compose_serial, compose_parallel)
+        heapq.heappush(heap, (wit.edges, next(tick), lhs, value, wit))
+
+    for i, names in enumerate(occs):
+        if not names:
+            push(i, ())
+    total = pops = 0
+    while heap:
+        _, _, x, value, wit = heapq.heappop(heap)
+        pops += 1
+        pool = settled[x]
+        if value in pool:
+            continue
+        pool[value] = wit
+        total += 1
+        full = list(pool.items())
+        old, new = full[:-1], full[-1:]
+        for i, positions in uses[x]:
+            pools = [list(settled[y].items()) for y in occs[i]]
+            for j in positions:
+                pools[j] = new
+                for combo in itertools.product(*pools):
+                    push(i, combo)
+                if not old:
+                    break
+                pools[j] = old
+    return settled, total, pops
+
+
+FIXTURES = ["univ", "ga", "gab", "chain", "bundle", "even_bundle", "empty_grammar"]
+
+
+def inclusion_pairs(request, seed):
+    """The fixture pairs (for ``seed`` None) or the two random grammars of
+    ``seed`` both ways, where the right alphabet covers the left."""
+    if seed is None:
+        grammars = [request.getfixturevalue(name) for name in FIXTURES]
+        pairs = itertools.product(grammars, repeat=2)
+    else:
+        g, h = gen_random_grammar(seed), gen_random_grammar(1000 + seed)
+        pairs = [(g, h), (h, g), (g, g)]
+    return [(g1, g2) for g1, g2 in pairs if not set(g1.alphabet) - set(g2.alphabet)]
+
+
+@pytest.mark.parametrize("seed", [None, *range(60)])
+def test_derivable_values_match_the_eager_search(request, seed):
+    for g1, g2 in inclusion_pairs(request, seed):
+        ctx = build_ctx(g2)
+        effort: dict = {}
+        values = derivable_values(g1, ctx, stats=effort)
+        reference, settled, pops = eager_derivable_values(g1, ctx)
+        assert (effort["settled"], effort["pops"]) == (settled, pops)
+        assert list(values) == list(reference)
+        for x, found in values.items():
+            assert list(found) == list(reference[x])  # same values, same order
+            for v, w in found.items():
+                assert w == reference[x][v]
+                assert format_graph(w) == format_graph(reference[x][v])
+
+
+@pytest.mark.parametrize("seed", [None, *range(60)])
+def test_inclusion_stops_early_with_the_full_searchs_answer(request, seed):
+    for g1, g2 in inclusion_pairs(request, seed):
+        ctx = build_ctx(g2)
+        effort: dict = {}
+        values = derivable_values(g1, ctx, stats=effort)
+        hits = [w for x in g1.axioms for v, w in values[x].items() if not accepts(v, ctx)]
+        full = min(hits, key=lambda w: (w.edges, w.key), default=None)
+        res = inclusion(g1, g2)
+        assert res.holds == (full is None)
+        assert res.stats["profiles_explored"] <= effort["settled"]
+        # criterion 7's oracle: no graph of up to 4 edges separates the
+        # languages when inclusion holds
+        assert res.holds <= (language_upto(g1, 4) <= language_upto(g2, 4))
+        if res.holds:
+            assert res.witness is None
+            assert res.stats["profiles_explored"] == effort["settled"]
+            continue
+        assert format_graph(res.witness) == format_graph(full)
+        # ... and a counterexample separates them, and no lighter graph does
+        n = res.witness.edges
+        assert res.witness in language_upto(g1, n)
+        assert not member(res.witness, g2)
+        assert all(member(h, g2) for h in language_upto(g1, n - 1))
+
+
+def test_inclusion_of_the_worst_case_grammars_stops_at_its_counterexample():
+    wc2, wc3 = gen_worstcase(2), gen_worstcase(3)
+    res = inclusion(wc2, wc3, cap=20000)
+    assert not res.holds
+    assert res.witness.edges == 11
+    # the full search exceeds this cap; the counterexample settles after 1,733
+    assert res.stats["profiles_explored"] <= 2500
+    ctx2, ctx3 = build_ctx(wc2), build_ctx(wc3)
+    assert accepts(eval_graph(res.witness, ctx2), ctx2)
+    assert not accepts(eval_graph(res.witness, ctx3), ctx3)
