@@ -53,7 +53,6 @@ from .spgraph import (
     _TermParser,
     fold_term,
     format_term,
-    tokenize,
 )
 
 
@@ -562,8 +561,7 @@ def parse_grammar(text: str) -> Grammar:
         if lhs not in kinds:
             raise ParseError(f"undeclared rule head {lhs!r}", lineno + 1, 1)
         try:
-            toks = tokenize(rhs_text)
-            parser = _TermParser(toks, names=kinds, exponents=True)
+            parser = _TermParser(rhs_text, names=kinds, exponents=True)
             rhs = parser.parse()
         except ParseError as e:
             raise ParseError(str(e).split(": ", 1)[1], lineno + 1, e.col) from None

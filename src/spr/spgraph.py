@@ -19,8 +19,10 @@ canonical key string carried by every node; equality and hashing go through
 that key, which keeps deep graphs free of recursive ``__eq__`` calls.
 
 Terms (the textual syntax ``a.(b||c)``) are also a free AST, which grammar
-rule right-hand sides use with nonterminal leaves.  One reader serves both:
-it collects each layer's parts and hands them, when the layer closes, to a
+rule right-hand sides use with nonterminal leaves.  One reader serves both.
+It reads the bare words of one ``re.findall`` over the text and works out
+a line and column only for an error, by tokenizing the text then.  It
+collects each layer's parts and hands them, when the layer closes, to a
 builder of the layer's kind.  For a rule body the builders fold the parts
 left into ``Serial``/``Parallel``; for graph text (``parse_graph``) they
 build the canonical node at once, so no term is made.  ``canonicalize``
@@ -35,7 +37,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 LABEL_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -180,18 +183,23 @@ class Bridge(SPGraph):
         self._hash = hash(self.key)
 
 
+_key = attrgetter("key")
+_edges = attrgetter("edges")
+
+
 class SNode(SPGraph):
     __slots__ = ("children",)
 
     def __init__(self, children: tuple):
         if len(children) < 2:
             raise ValueError("serial node needs at least two parts")
-        for c in children:
-            if isinstance(c, SNode) or not isinstance(c, SPGraph):
-                raise ValueError("serial children must be bridges or parallel nodes")
+        if not _SERIAL_PARTS.issuperset(map(type, children)):
+            for c in children:
+                if isinstance(c, SNode) or not isinstance(c, SPGraph):
+                    raise ValueError("serial children must be bridges or parallel nodes")
         self.children = children
-        self.key = "s(" + "".join(c.key for c in children) + ")"
-        self.edges = sum(c.edges for c in children)
+        self.key = "s(" + "".join(map(_key, children)) + ")"
+        self.edges = sum(map(_edges, children))
         self._hash = hash(self.key)
 
 
@@ -201,13 +209,20 @@ class PNode(SPGraph):
     def __init__(self, children: tuple):
         if len(children) < 2:
             raise ValueError("parallel node needs at least two parts")
-        for c in children:
-            if isinstance(c, PNode) or not isinstance(c, SPGraph):
-                raise ValueError("parallel children must be bridges or serial nodes")
-        self.children = tuple(sorted(children, key=lambda c: c.key))
-        self.key = "p(" + "".join(c.key for c in self.children) + ")"
-        self.edges = sum(c.edges for c in children)
+        if not _PARALLEL_PARTS.issuperset(map(type, children)):
+            for c in children:
+                if isinstance(c, PNode) or not isinstance(c, SPGraph):
+                    raise ValueError("parallel children must be bridges or serial nodes")
+        self.children = children = tuple(sorted(children, key=_key))
+        self.key = "p(" + "".join(map(_key, children)) + ")"
+        self.edges = sum(map(_edges, children))
         self._hash = hash(self.key)
+
+
+# the child types each node accepts at a glance; any other child goes
+# through the isinstance checks above
+_SERIAL_PARTS = frozenset((Bridge, PNode))
+_PARALLEL_PARTS = frozenset((Bridge, SNode))
 
 
 def compose_serial(a: SPGraph, b: SPGraph) -> SPGraph:
@@ -300,8 +315,11 @@ def canonicalize(t: Term) -> SPGraph:
 # comments         # to end of line
 # ---------------------------------------------------------------------------
 
+_TOKEN = r"[a-z$][a-z0-9_$]*|\|\||[().^]|[0-9]+"
 # whitespace, then a token (group 1) or the one character that starts none
-_SCAN_RE = re.compile(r"\s*(?:([a-z$][a-z0-9_$]*|\|\||[().^]|[0-9]+)|(\S))")
+_SCAN_RE = re.compile(rf"\s*(?:({_TOKEN})|(\S))")
+# a token, or the one character that starts none as a word no reader accepts
+_WORD_RE = re.compile(rf"{_TOKEN}|\S")
 
 
 def tokenize(text: str) -> list[tuple[str, int, int]]:
@@ -315,6 +333,15 @@ def tokenize(text: str) -> list[tuple[str, int, int]]:
                 raise ParseError(f"unexpected character {m.group(2)!r}", lno, m.start(2) + 1)
             toks.append((tok, lno, m.start(1) + 1))
     return toks
+
+
+def _words(text: str) -> list[str]:
+    """The tokens of ``text`` without positions, comments dropped as
+    ``tokenize`` drops them; each character that starts no token is a word
+    of its own."""
+    if "#" in text:
+        text = "\n".join([line.split("#", 1)[0] for line in text.splitlines()])
+    return _WORD_RE.findall(text)
 
 
 def _graph_layer(node):
@@ -345,13 +372,31 @@ class _TermParser:
     the enclosing layer, so a graph of n edges costs time linear in n however
     its text associates.  Open groups live on explicit stacks rather than the
     Python call stack, so nesting depth is bounded by memory only.
+
+    The parser reads bare words from one scan of the text (``_words``) and
+    computes positions only for an error: ``error`` then tokenizes the text,
+    and ``tokenize`` raises the text's first unexpected character if there
+    is one, so errors take the same precedence as when the whole text was
+    tokenized first.  Such a character is a word of its own, which the
+    parser rejects wherever it stands.
     """
 
-    def __init__(self, toks, names=None, exponents=False):
-        self.toks = toks
+    def __init__(self, source, names=None, exponents=False):
+        """``source`` is the text to read, or its ``tokenize`` triples."""
+        if isinstance(source, str):
+            self.text = source
+            self.words = _words(source)
+        else:
+            self.toks = source
+            self.words = [tok for tok, _, _ in source]
         self.names = names
         self.exponents = exponents
         self.saw_exponent = False
+
+    @cached_property
+    def toks(self) -> list[tuple[str, int, int]]:
+        """The (token, line, col) triples of the text, one per word."""
+        return tokenize(self.text)
 
     def error(self, msg, i):
         """Raise ``msg`` at token ``i``, or at the last token past the end."""
@@ -366,8 +411,7 @@ class _TermParser:
     def parse(self, graph: bool = False):
         """The term the tokens spell or, with ``graph``, its canonical graph."""
         atom, ser, par = _GRAPH_BUILDERS if graph else _TERM_BUILDERS
-        words = [tok for tok, _, _ in self.toks]
-        words.append(None)  # the end of input
+        words = [*self.words, None]  # None: the end of input
         leaves: dict = {}  # each name read so far, as its leaf
         # the serial parts of every open factor and the parallel parts of
         # every open group, innermost last; the innermost group's current
@@ -430,27 +474,28 @@ class _TermParser:
         if self.names is not None and tok in self.names:
             return Ref(tok)
         if not LABEL_RE.match(tok):
-            self.error(f"unknown name {tok!r}", i + 1)
+            self.error(f"unknown name {tok!r}", i)
         return atom(tok)
 
     def exponent(self, i) -> int:
         """The count of the exponent whose ``^`` is token ``i``."""
         if not self.exponents:
             self.error("exponents are not valid in graph terms", i)
-        if i + 1 >= len(self.toks):
+        if i + 1 >= len(self.words):
             self.error("unexpected end of input", i + 1)
-        count = self.toks[i + 1][0]
-        if not count.isdigit() or int(count) < 1:
-            self.error("exponent must be a positive integer", i + 2)
+        count = self.words[i + 1]
+        # a foreign digit such as '\u0663' is a word of its own, not a count
+        if not (count.isascii() and count.isdigit()) or int(count) < 1:
+            self.error("exponent must be a positive integer", i + 1)
         self.saw_exponent = True
         return int(count)
 
 
 def _read_text(text: str, graph: bool):
-    toks = tokenize(text)
-    if not toks:
+    parser = _TermParser(text)
+    if not parser.words:
         raise ParseError("empty term", 1, 1)
-    return _TermParser(toks).parse(graph)
+    return parser.parse(graph)
 
 
 def parse_term(text: str) -> Term:

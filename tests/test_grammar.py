@@ -25,7 +25,7 @@ from spr.grammar import (
     validate_regular,
 )
 from spr.oracle import gen_random_grammar, language_upto
-from spr.spgraph import ParseError, format_term
+from spr.spgraph import ParseError, format_term, parse_graph
 from spr.termalg import Bounded, Periodic
 
 # ---------------------------------------------------------------------------
@@ -142,6 +142,29 @@ def test_rule_parse_errors_carry_the_rule_line():
     with pytest.raises(ParseError) as exc:
         parse_grammar(text)
     assert exc.value.line == 7
+
+
+_HEAD = "alphabet: a\npnonterminals: p\nsnonterminals: s\naxioms: p\nrules:\np -> a\n"
+
+
+@pytest.mark.parametrize(
+    "read,text,message,line,col",
+    [
+        (parse_graph, "$x . a", "unknown name '$x'", 1, 1),
+        (parse_graph, "a .\n  $x || a", "unknown name '$x'", 2, 3),
+        # a rule's columns count from the text after '->'
+        (parse_grammar, _HEAD + "p -> $y || s\n", "unknown name '$y'", 7, 2),
+        (parse_grammar, _HEAD + "p -> s^0 || s\n", "exponent must be a positive integer", 7, 4),
+        (parse_grammar, _HEAD + "p -> s || s^x\n", "exponent must be a positive integer", 7, 9),
+        (parse_grammar, _HEAD + "p -> s^", "unexpected end of input", 7, 3),
+        # a digit outside ASCII is no count but a character no token starts
+        (parse_grammar, _HEAD + "p -> s^\u0663 || s", "unexpected character '\u0663'", 7, 4),
+    ],
+)
+def test_parse_errors_point_at_the_offending_token(read, text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        read(text)
+    assert (str(exc.value), exc.value.line, exc.value.col) == (f"{line}:{col}: {message}", line, col)
 
 
 def test_comments_and_blank_lines_are_ignored(univ):

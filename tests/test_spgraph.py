@@ -56,6 +56,29 @@ def test_node_arity_and_layering():
         PNode((p, a))
 
 
+@pytest.mark.parametrize("node,kind", [(SNode, "serial"), (PNode, "parallel")])
+def test_node_validation_messages(node, kind):
+    a, b = Bridge("a"), Bridge("b")
+    other = "parallel nodes" if node is SNode else "serial nodes"
+    children = f"{kind} children must be bridges or {other}"
+    # a child of the node's own kind, anywhere in the parts
+    for parts in ((node((a, b)), a), (a, b, node((a, b)))):
+        with pytest.raises(ValueError, match=re.escape(children)):
+            node(parts)
+    # children that are no graph at all
+    for bad in ("a", Atom("a"), None):
+        with pytest.raises(ValueError, match=re.escape(children)):
+            node((a, bad))
+    for parts in ((), (a,), (node((b, b)),)):
+        with pytest.raises(ValueError, match=re.escape(f"{kind} node needs at least two parts")):
+            node(parts)
+    # a subclass of an accepted kind passes the isinstance check
+    class Edge(Bridge):
+        __slots__ = ()
+
+    assert node((Edge("a"), b)).key == node((a, b)).key
+
+
 def test_compose_flattens_layers():
     a, b, c = Bridge("a"), Bridge("b"), Bridge("c")
     s = compose_serial(compose_serial(a, b), c)
@@ -275,6 +298,58 @@ def test_tokenize_matches_the_character_stepping_reference():
         assert _tokens_or_error(tokenize, text) == want, repr(text)
         errors += isinstance(want, tuple)
     assert 1000 < errors < len(texts) - 1000
+
+
+def _read_by_tokens(text, graph):
+    """Reference reader: the parser fed with ``tokenize``'s triples."""
+    toks = tokenize(text)
+    if not toks:
+        raise ParseError("empty term", 1, 1)
+    return _TermParser(toks).parse(graph)
+
+
+def _read_outcome(read, text):
+    try:
+        t = read(text)
+    except ParseError as e:
+        return ("error", str(e), e.line, e.col)
+    return ("graph", t.key) if isinstance(t, (Bridge, SNode, PNode)) else ("term", t)
+
+
+# line breaks that str.splitlines knows and '\n' is not
+_BREAKS = ["\u2028", "\x1c", "\x85", "\r", "\r\n", "\u2029", "\x0b", "\x0c"]
+
+
+def test_word_scan_reads_as_the_tokens_do():
+    rng = random.Random(11)
+    texts = ["", "#", "# only a comment", "  # c\n\n#", "a # (", "a .# c\n b"]
+    for brk in _BREAKS:
+        texts += [
+            f"# c{brk}",
+            f"a{brk}# c . (\n. b",
+            f"a .{brk}#{brk}b",
+            f"# c{brk}a || b #{brk}?",
+            f"a{brk}#?{brk}. b # ?",
+            f"(a{brk}# )\n|| b)",
+        ]
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            text = "".join(rng.choice(_PIECES) for _ in range(rng.randint(1, 25)))
+        else:  # a valid term, its words joined by blanks, breaks and comments
+            words = format_graph(random_graph(rng, rng.randint(1, 12), "ab")).split(" ")
+            gaps = [" ", "\t", "\u2003", "\n", "# c\n", *_BREAKS]
+            text = "".join(w + rng.choice(gaps) for w in words)
+        for _ in range(rng.randint(0, 2)):
+            k = rng.randint(0, len(text))
+            text = text[:k] + rng.choice(_BAD) + text[k:]
+        texts.append(text)
+    errors = 0
+    for text in texts:
+        for graph, reader in ((True, parse_graph), (False, parse_term)):
+            want = _read_outcome(lambda t: _read_by_tokens(t, graph), text)
+            assert _read_outcome(reader, text) == want, repr(text)
+        errors += want[0] == "error"
+    assert 1000 < errors < len(texts) - 500
 
 
 terms = st.deferred(
