@@ -34,7 +34,7 @@ from .grammar import (
 )
 from .oracle import gen_worstcase, language_upto
 from .recognizer import build_ctx, member, reachable_profiles
-from .spgraph import ParseError, format_graph, parse_graph
+from .spgraph import ParseError, format_graph, graph_order, parse_graph
 
 
 def _read(path: str) -> str:
@@ -131,7 +131,7 @@ def _cmd_filter(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     g = _load(args.grammar)
-    graphs = sorted(language_upto(g, args.edges), key=lambda x: (x.edges, x.key))
+    graphs = sorted(language_upto(g, args.edges), key=graph_order)
     _emit(
         args,
         {"count": len(graphs), "graphs": [format_graph(x) for x in graphs]},

@@ -6,7 +6,7 @@ lightest-derivation search, which evaluates every derivation of a grammar
 into a finite algebra and keeps an edge-minimal derivation per (nonterminal,
 value).  A settled derivation is stored as back-pointers (its rule body and
 the settled entries it combines), not as a graph; ``_witness`` builds the
-graph of an entry only when a caller asks for it.
+graph of an entry with ``spgraph.canonicalize``, only when asked for it.
 
 * ``minimal_graphs``: the loop over the one-point algebra, so the smallest
   derivable graph per nonterminal; ``is_empty`` asks whether an axiom has one.
@@ -22,7 +22,7 @@ graph of an entry only when a caller asks for it.
   grammar admits; reachability saturations stay below it.
 
 Inclusion and intersection build only the witnesses of their fewest-edge
-hits.
+hits, and rank them by ``spgraph.graph_order``.
 """
 
 from __future__ import annotations
@@ -49,14 +49,15 @@ from .recognizer import (
 )
 from .spgraph import (
     Atom,
-    Bridge,
     Parallel,
     Ref,
     Serial,
     SPGraph,
-    compose_parallel,
+    canonicalize,
+    compose_parallel,  # not called here: perfbench/spans.py traces these two by name
     compose_serial,
     fold_term,
+    graph_order,
 )
 from .termalg import Bounded, Periodic
 
@@ -69,7 +70,8 @@ class CapExceeded(RuntimeError):
 
 @dataclass
 class DecisionResult:
-    """Verdict plus optional counterexample; unpacks like (holds, witness).
+    """Verdict plus optional counterexample, the first fewest-edge hit in
+    ``spgraph.graph_order``; unpacks like (holds, witness).
 
     ``stats`` carries the effort: ``profiles_explored`` (distinct values
     settled), ``iterations`` (heap pops), and wall-clock milliseconds spent
@@ -188,8 +190,9 @@ def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None, goal=None) -> di
 
 
 def _witness(entry, built: dict) -> SPGraph:
-    """The graph of a settled entry of :func:`_lightest`, folded from its
-    back-pointers with ``compose_serial`` and ``compose_parallel``.
+    """The graph of a settled entry of :func:`_lightest`: its rule body
+    canonicalized with each nonterminal leaf bound to the graph of the
+    entry it points to, so each layer of the body is one node.
 
     ``built`` maps ``id(entry)`` to graphs already built, for the length of
     one caller's use of the entries (which keep those ids alive), so an
@@ -208,9 +211,7 @@ def _witness(entry, built: dict) -> SPGraph:
             continue
         stack.pop()
         it = iter(e[3])
-        built[id(e)] = fold_term(
-            e[2], Bridge, lambda _: built[id(next(it))], compose_serial, compose_parallel
-        )
+        built[id(e)] = canonicalize(e[2], lambda _: built[id(next(it))])
     return built[id(entry)]
 
 
@@ -238,12 +239,7 @@ def emptiness_witness(g: Grammar) -> Optional[SPGraph]:
     """An edge-minimal graph of the language, or None when empty."""
     best = minimal_graphs(g)
     found = [best[x] for x in g.axioms if x in best]
-    return min(found, key=_lightness, default=None)
-
-
-def _lightness(w: SPGraph):
-    """How witnesses are ranked: fewest edges, then the canonical key."""
-    return w.edges, w.key
+    return min(found, key=graph_order, default=None)
 
 
 def _decide(g: Grammar, ops, found, cap, t0: float) -> DecisionResult:
@@ -251,7 +247,7 @@ def _decide(g: Grammar, ops, found, cap, t0: float) -> DecisionResult:
     ser, par) until the edge layer of the first axiom value that is ``found``
     is finished.  The decision holds when no value of an axiom is ``found``,
     and fails with the lightest witness of those that are: only the hits of
-    fewest edges are built, and ranked by :func:`_lightness`."""
+    fewest edges are built, and ranked by ``graph_order``."""
     axioms = set(g.axioms)
     effort: dict = {}
     t1 = time.perf_counter()
@@ -261,7 +257,7 @@ def _decide(g: Grammar, ops, found, cap, t0: float) -> DecisionResult:
     fewest = min((e[1] for e in hits), default=None)
     built: dict = {}
     witness = min(
-        (_witness(e, built) for e in hits if e[1] == fewest), key=_lightness, default=None
+        (_witness(e, built) for e in hits if e[1] == fewest), key=graph_order, default=None
     )
     t3 = time.perf_counter()
     stats = {
@@ -370,7 +366,7 @@ def filter_grammar(
     values = derivable_values(g1, ctx2, cap)
     vname = {}
     for x in g1.pnames + g1.snames:
-        ordered = sorted(values[x].items(), key=lambda vw: _lightness(vw[1]))
+        ordered = sorted(values[x].items(), key=lambda vw: graph_order(vw[1]))
         vname[x] = {v: f"{x}$v{i}" for i, (v, _) in enumerate(ordered)}
 
     atom, ser, par = _profile_ops(ctx2)

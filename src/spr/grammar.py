@@ -563,8 +563,8 @@ def parse_grammar(text: str) -> Grammar:
         try:
             parser = _TermParser(rhs_text, names=kinds, exponents=True)
             rhs = parser.parse()
-        except ParseError as e:
-            raise ParseError(str(e).split(": ", 1)[1], lineno + 1, e.col) from None
+        except ParseError as e:  # e.col counts from the text after '->'
+            raise ParseError(e.msg, lineno + 1, e.col + lines[lineno].index("->") + 2) from None
         rules.append(_classify(lhs, kinds, rhs, parser.saw_exponent, lineno + 1))
     return Grammar(
         header["alphabet"],

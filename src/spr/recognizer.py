@@ -64,7 +64,6 @@ from itertools import chain, compress
 from typing import Optional, Union
 
 from .grammar import (
-    BasePeriodTable,
     Grammar,
     GrammarError,
     RuleAlt,
@@ -101,7 +100,7 @@ class SProfile:
     ``PackedTerm``, the two forms hash differently: sets and dict keys must
     hold one form only."""
 
-    __slots__ = ("rows", "space", "_pairs", "_left", "_heads", "_done", "_par")
+    __slots__ = ("rows", "space", "_pairs", "_left", "_heads", "_par")
 
     def __init__(self, pairs: frozenset):
         self.rows = self.space = None
@@ -218,7 +217,7 @@ class SSpace:
         h = _new(SProfile)
         h.rows = rows
         h.space = self
-        h._pairs = h._left = h._heads = h._done = h._par = None
+        h._pairs = h._left = h._heads = h._par = None
         return h
 
     def from_dense(self, rows: list) -> SProfile:
@@ -303,13 +302,10 @@ class SSpace:
 
     def done(self, h: SProfile) -> int:
         """The S-names that derive the whole graph, as a bitmask."""
-        v = h._done
-        if v is None:
-            v, rows, bot = 0, h.rows, self.bot
-            for k in range(0, len(rows), 2):
-                if rows[k + 1] & bot:
-                    v |= 1 << rows[k]
-            h._done = v
+        v, rows, bot = 0, h.rows, self.bot
+        for k in range(0, len(rows), 2):
+            if rows[k + 1] & bot:
+                v |= 1 << rows[k]
         return v
 
     def par(self, h: SProfile) -> PProfile:
@@ -362,7 +358,6 @@ class RecognizerCtx:
 
     source: Grammar
     grammar: Grammar  # normalized alternative working form
-    table: BasePeriodTable
     contexts: dict  # p -> variable classes for nf
     # p -> TermSpace its terms are packed over, or p's variable classes when
     # the box exceeds termalg.BOX_LIMIT and its terms stay TermNFs
@@ -438,7 +433,6 @@ def build_ctx(g: Grammar) -> RecognizerCtx:
     return RecognizerCtx(
         source=g,
         grammar=work,
-        table=table,
         contexts=contexts,
         spaces=spaces,
         accepting=accepting,

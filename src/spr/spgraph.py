@@ -26,9 +26,10 @@ collects each layer's parts and hands them, when the layer closes, to a
 builder of the layer's kind.  For a rule body the builders fold the parts
 left into ``Serial``/``Parallel``; for graph text (``parse_graph``) they
 build the canonical node at once, so no term is made.  ``canonicalize``
-turns a term into its graph the same way.  Both build every node of a graph
-once, from all the parts of its flattened layer, so n edges cost time linear
-in n plus the length of the keys (and one sort per parallel layer), however
+turns a term into its graph the same way, also decision witnesses with the
+graphs of their nonterminal leaves.  Both build every node of a graph once,
+from all the parts of its flattened layer, so n edges cost time linear in n
+plus the length of the keys (and one sort per parallel layer), however
 ``.`` and ``||`` associate; ``compose_serial``/``compose_parallel`` copy
 their operands' children and suit composing a few graphs, not building one.
 """
@@ -52,6 +53,7 @@ class ParseError(ValueError):
 
     def __init__(self, msg: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {msg}")
+        self.msg = msg
         self.line = line
         self.col = col
 
@@ -245,6 +247,11 @@ def edge_count(g: SPGraph) -> int:
     return g.edges
 
 
+def graph_order(g: SPGraph) -> tuple:
+    """The one order graphs are listed and ranked in: edges, then key."""
+    return g.edges, g.key
+
+
 def _not_ground(name: str):
     raise ValueError(f"term is not ground: nonterminal {name!r}")
 
@@ -256,8 +263,8 @@ def _not_ground(name: str):
 
 
 def _close(x) -> SPGraph:
-    """The node of an open layer, built once from all its parts; a closed
-    graph is returned as it is."""
+    """The node of an open layer, built once from all its parts (a ``ref``
+    graph of its kind spliced in); a closed graph is returned as it is."""
     if type(x) is not tuple:
         return x
     parts = []
@@ -266,6 +273,8 @@ def _close(x) -> SPGraph:
         y = stack.pop()
         if type(y) is tuple:
             stack += (y[2], y[1])
+        elif type(y) is x[0]:
+            parts += y.children
         else:
             parts.append(y)
     return x[0](tuple(parts))
@@ -286,14 +295,15 @@ _open_serial = _open(SNode)
 _open_parallel = _open(PNode)
 
 
-def canonicalize(t: Term) -> SPGraph:
-    """Turn a ground term into its canonical decomposition tree.  Rejects
-    terms with nonterminal leaves.
+def canonicalize(t: Term, ref=_not_ground) -> SPGraph:
+    """Turn a term into its canonical decomposition tree, each nonterminal
+    leaf, left to right, into the graph ``ref(name)`` (by default rejected).
 
     Each serial or parallel layer of the term stays open while the fold
     meets operands of its own kind and is closed into one node when it
     becomes an operand of the other kind (or is the root), so every node is
-    built once and the work is linear in the term plus the keys."""
+    built once and the work is linear in the term plus the keys (and the
+    children of spliced ``ref`` graphs)."""
     bridges: dict[str, Bridge] = {}
 
     def bridge(label):
@@ -302,7 +312,7 @@ def canonicalize(t: Term) -> SPGraph:
             b = bridges[label] = Bridge(label)
         return b
 
-    return _close(fold_term(t, bridge, _not_ground, _open_serial, _open_parallel))
+    return _close(fold_term(t, bridge, ref, _open_serial, _open_parallel))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +571,7 @@ def format_term(t: Term) -> str:
 
 def enumerate_graphs(labels: Iterable[str], max_edges: int) -> list[SPGraph]:
     """All canonical SP graphs over ``labels`` with at most ``max_edges``
-    edges, sorted by (edge count, canonical key).
+    edges, sorted by :func:`graph_order`.
 
     Dynamic programming over the alternating decomposition: a serial node of
     size n is an ordered sequence (length >= 2) of bridges/parallel nodes,
@@ -616,7 +626,7 @@ def enumerate_graphs(labels: Iterable[str], max_edges: int) -> list[SPGraph]:
     for n in range(2, max_edges + 1):
         result.extend(snodes[n])
         result.extend(pnodes[n])
-    result.sort(key=lambda g: (g.edges, g.key))
+    result.sort(key=graph_order)
     return result
 
 

@@ -1,6 +1,7 @@
 """One-pass canonicalization against the pairwise composition it replaced:
-equal graphs for every association, one node construction per node of the
-result, and ``random_graph`` unchanged seed for seed."""
+equal graphs for every association, with nonterminal leaves bound to graphs
+too, one node construction per node of the result, and ``random_graph``
+unchanged seed for seed."""
 
 import random
 from functools import reduce
@@ -23,6 +24,7 @@ from spr.spgraph import (
     compose_serial,
     fold_term,
     format_graph,
+    parse_graph,
     random_graph,
 )
 
@@ -125,6 +127,37 @@ def test_nonterminal_leaves_raise_the_same_error(how, node):
     with pytest.raises(ValueError) as got:
         canonicalize(t)
     assert str(got.value) == str(want.value) == "term is not ground: nonterminal 'p'"
+
+
+# ---------------------------------------------------------------------------
+# nonterminal leaves bound to graphs
+# ---------------------------------------------------------------------------
+
+open_terms = st.recursive(
+    st.one_of(atoms, st.sampled_from(["x", "y", "z"]).map(Ref)), _grow, max_leaves=60
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(open_terms, st.integers(0, 2**32))
+def test_bound_nonterminals_agree_with_pairwise_composition(t, seed):
+    rng = random.Random(seed)
+    graphs = {name: random_graph(rng, rng.randint(1, 12), "abc") for name in "xyz"}
+    g = canonicalize(t, graphs.__getitem__)
+    want = fold_term(t, Bridge, graphs.__getitem__, compose_serial, compose_parallel)
+    assert g.key == want.key
+    assert g.edges == want.edges
+
+
+@pytest.mark.parametrize("how", ASSOCIATIONS)
+@pytest.mark.parametrize("node,text", [(Serial, "a . (b || c) . a"), (Parallel, "a || b . c || a")])
+def test_a_bound_graph_of_the_layers_kind_joins_the_layer(node, text, how):
+    bound = parse_graph(text)
+    t = associate([Atom("b"), Ref("x"), Atom("c"), Ref("x")], how, node)
+    g = canonicalize(t, lambda _: bound)
+    assert g == fold_term(t, Bridge, lambda _: bound, compose_serial, compose_parallel)
+    assert type(g) is type(bound)
+    assert len(g.children) == 2 + 2 * len(bound.children)
 
 
 # ---------------------------------------------------------------------------

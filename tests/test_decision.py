@@ -30,7 +30,16 @@ from spr.recognizer import (
     op_serial,
     reachable_profiles,
 )
-from spr.spgraph import Bridge, compose_parallel, compose_serial, fold_term, format_graph
+from spr.spgraph import (
+    Bridge,
+    PNode,
+    SNode,
+    compose_parallel,
+    compose_serial,
+    fold_term,
+    format_graph,
+    parse_graph,
+)
 
 # ---------------------------------------------------------------------------
 # emptiness
@@ -507,3 +516,37 @@ def test_inclusion_of_the_worst_case_grammars_stops_at_its_counterexample():
     ctx2, ctx3 = build_ctx(wc2), build_ctx(wc3)
     assert accepts(eval_graph(res.witness, ctx2), ctx2)
     assert not accepts(eval_graph(res.witness, ctx3), ctx3)
+
+
+# ---------------------------------------------------------------------------
+# witnesses: one node per layer of a rule body
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("op", [".", "||"])
+def test_a_long_rule_bodys_witness_is_one_node(op, monkeypatch):
+    # q derives a graph of the body's own kind, whose parts join the body's
+    # layer; r one of the other kind, which stays one part
+    own, other = ("a . b", "a || b") if op == "." else ("a || b", "a . b")
+    factors = ["a", "q", "r"] * 1000
+    g = parse_grammar(
+        "alphabet: a b\npnonterminals: p\nsnonterminals: s q r\naxioms: s\nrules:\n"
+        f"s -> {f' {op} '.join(factors)}\nq -> {own}\nr -> {other}\n"
+    )
+    graphs = {"q": parse_graph(own), "r": parse_graph(other)}
+    body = rule_rhs_term(next(r for r in g.rules if r.lhs == "s"))
+    want = fold_term(body, Bridge, graphs.__getitem__, compose_serial, compose_parallel)
+    built = []
+    for cls in (SNode, PNode):
+        init = cls.__init__
+
+        def counting(self, children, init=init):
+            built.append(len(children))
+            init(self, children)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    res = intersection_empty([g])
+    assert not res.holds
+    assert res.witness == want and res.witness.edges == 5000
+    # the body's layer, then q's and r's graphs, each built once
+    assert sorted(built) == [2, 2, 4000]

@@ -152,13 +152,13 @@ _HEAD = "alphabet: a\npnonterminals: p\nsnonterminals: s\naxioms: p\nrules:\np -
     [
         (parse_graph, "$x . a", "unknown name '$x'", 1, 1),
         (parse_graph, "a .\n  $x || a", "unknown name '$x'", 2, 3),
-        # a rule's columns count from the text after '->'
-        (parse_grammar, _HEAD + "p -> $y || s\n", "unknown name '$y'", 7, 2),
-        (parse_grammar, _HEAD + "p -> s^0 || s\n", "exponent must be a positive integer", 7, 4),
-        (parse_grammar, _HEAD + "p -> s || s^x\n", "exponent must be a positive integer", 7, 9),
-        (parse_grammar, _HEAD + "p -> s^", "unexpected end of input", 7, 3),
+        # a rule's columns count from the start of its line
+        (parse_grammar, _HEAD + "p -> $y || s\n", "unknown name '$y'", 7, 6),
+        (parse_grammar, _HEAD + "p -> s^0 || s\n", "exponent must be a positive integer", 7, 8),
+        (parse_grammar, _HEAD + "p -> s || s^x\n", "exponent must be a positive integer", 7, 13),
+        (parse_grammar, _HEAD + "p -> s^", "unexpected end of input", 7, 7),
         # a digit outside ASCII is no count but a character no token starts
-        (parse_grammar, _HEAD + "p -> s^\u0663 || s", "unexpected character '\u0663'", 7, 4),
+        (parse_grammar, _HEAD + "p -> s^\u0663 || s", "unexpected character '\u0663'", 7, 8),
     ],
 )
 def test_parse_errors_point_at_the_offending_token(read, text, message, line, col):
