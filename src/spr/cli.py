@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Predicates exit 0 when they hold and 1 when they do not (printing a witness
-where one exists); malformed input, a saturation over its cap and running out
-of memory exit 2 with a message.  ``--json`` switches every
-command to a single machine-readable object on stdout.
+where one exists); malformed input, a saturation over its cap, input nested
+past the recursion limit and running out of memory exit 2 with a message.
+``--json`` switches every command to a single machine-readable object on
+stdout.
 """
 
 from __future__ import annotations
@@ -101,11 +102,6 @@ def _cmd_member(args) -> int:
     ok = member(graph, g)
     _emit(args, {"member": ok, "graph": format_graph(graph)}, [str(ok).lower()])
     return 0 if ok else 1
-
-
-def _cmd_empty(args) -> int:
-    result = intersection_empty([_load(args.grammar)], cap=args.cap)
-    return _verdict(args, result, "true", "false: witness {witness}")
 
 
 def _cmd_intersect(args) -> int:
@@ -209,8 +205,8 @@ def run(argv=None) -> int:
     p.set_defaults(handler=_cmd_member)
 
     p = sub.add_parser("empty", help="is the language empty?")
-    p.add_argument("grammar")
-    p.set_defaults(handler=_cmd_empty)
+    p.add_argument("grammars", nargs=1, metavar="grammar")
+    p.set_defaults(handler=_cmd_intersect)
 
     p = sub.add_parser("intersect", help="is the intersection of the languages empty?")
     p.add_argument("grammars", nargs="+")
@@ -258,7 +254,7 @@ def run(argv=None) -> int:
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ParseError, GrammarError, OSError, ValueError) as e:
+    except (ParseError, GrammarError, OSError, ValueError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -8,16 +8,18 @@ value).  A settled derivation is stored as back-pointers (its rule body and
 the settled entries it combines), not as a graph; ``_witness`` builds the
 graph of an entry with ``spgraph.canonicalize``, only when asked for it.
 
-* ``minimal_graphs``: the loop over the one-point algebra, so the smallest
-  derivable graph per nonterminal; ``is_empty`` asks whether an axiom has one.
+The loop has two entry points.  ``_decide`` answers a yes/no question and
+stops once the edge layer of its first answer is finished; ``derivable_values``
+reads every value.
+
 * ``derivable_values``: the loop over the profiles of another grammar, so
   for every nonterminal all profiles of graphs it derives, each with an
   edge-minimal witness.  Filtering is read off from this.
-* ``inclusion``: the same loop, stopped once the edge layer of the first
-  rejected axiom value is finished.
+* ``inclusion``: the same loop, stopped at the first rejected axiom value.
 * ``intersection_empty``: the loop over the first grammar's derivations in
-  the product of the later grammars' profile algebras; it stops once the edge
-  layer of the first common graph is finished.
+  the product of the later grammars' profile algebras, stopped at the first
+  common graph.  With one grammar the product is the one-point algebra, so
+  this is emptiness: ``is_empty`` and ``emptiness_witness`` read it off.
 * ``bound_cardinality``: a closed-form bound on how many distinct profiles a
   grammar admits; reachability saturations stay below it.
 
@@ -37,7 +39,7 @@ from fractions import Fraction
 from operator import add
 from typing import Optional
 
-from .grammar import Grammar, GrammarError, RuleFree, rule_rhs_term
+from .grammar import Grammar, GrammarError, RuleFree, _ignore, rule_rhs_term
 from .recognizer import (
     RecognizerCtx,
     _check_cap,
@@ -94,10 +96,6 @@ class DecisionResult:
 # ---------------------------------------------------------------------------
 # Lightest derivations
 # ---------------------------------------------------------------------------
-
-
-def _point(*_):
-    """Every action of the one-point algebra: all graphs evaluate to None."""
 
 
 def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None, goal=None) -> dict:
@@ -215,33 +213,6 @@ def _witness(entry, built: dict) -> SPGraph:
     return built[id(entry)]
 
 
-# ---------------------------------------------------------------------------
-# Emptiness
-# ---------------------------------------------------------------------------
-
-
-def productive_nonterminals(g: Grammar) -> set:
-    return {x for x, vs in _lightest(g, _point, _point, _point).items() if vs}
-
-
-def is_empty(g: Grammar) -> bool:
-    return not (set(g.axioms) & productive_nonterminals(g))
-
-
-def minimal_graphs(g: Grammar) -> dict:
-    """Edge-minimal derivable graph for each productive nonterminal."""
-    values = _lightest(g, _point, _point, _point)
-    built: dict = {}
-    return {x: _witness(vs[None], built) for x, vs in values.items() if vs}
-
-
-def emptiness_witness(g: Grammar) -> Optional[SPGraph]:
-    """An edge-minimal graph of the language, or None when empty."""
-    best = minimal_graphs(g)
-    found = [best[x] for x in g.axioms if x in best]
-    return min(found, key=graph_order, default=None)
-
-
 def _decide(g: Grammar, ops, found, cap, t0: float) -> DecisionResult:
     """Run the loop over ``g``'s derivations in the algebra ``ops`` (atom,
     ser, par) until the edge layer of the first axiom value that is ``found``
@@ -350,6 +321,16 @@ def intersection_empty(grammars, cap: Optional[int] = None) -> DecisionResult:
     return _decide(first, (atom, ser, par), common, cap, t0)
 
 
+def is_empty(g: Grammar) -> bool:
+    """Does ``g`` derive no graph?  The intersection of its language alone."""
+    return intersection_empty([g]).holds
+
+
+def emptiness_witness(g: Grammar) -> Optional[SPGraph]:
+    """An edge-minimal graph of the language, or None when empty."""
+    return intersection_empty([g]).witness
+
+
 def filter_grammar(
     g1: Grammar, g2: Grammar, mode: str = "accept", cap: Optional[int] = None
 ) -> Grammar:
@@ -374,7 +355,7 @@ def filter_grammar(
     for r in g1.rules:
         t = rule_rhs_term(r)
         occ: list = []
-        fold_term(t, _point, occ.append, _point, _point)
+        fold_term(t, _ignore, occ.append, _ignore, _ignore)
         for vals in itertools.product(*(values[y] for y in occ)):
             it = iter(vals)
             value = fold_term(t, atom, lambda _: next(it), ser, par)

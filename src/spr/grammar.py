@@ -561,7 +561,7 @@ def parse_grammar(text: str) -> Grammar:
         if lhs not in kinds:
             raise ParseError(f"undeclared rule head {lhs!r}", lineno + 1, 1)
         try:
-            parser = _TermParser(rhs_text, names=kinds, exponents=True)
+            parser = _TermParser(rhs_text, names=kinds)
             rhs = parser.parse()
         except ParseError as e:  # e.col counts from the text after '->'
             raise ParseError(e.msg, lineno + 1, e.col + lines[lineno].index("->") + 2) from None

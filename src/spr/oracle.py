@@ -34,15 +34,7 @@ from .grammar import (
     rule_rhs_term,
 )
 from .recognizer import SProfile
-from .spgraph import (
-    Bridge,
-    PNode,
-    SNode,
-    SPGraph,
-    compose_parallel,
-    compose_serial,
-    fold_term,
-)
+from .spgraph import Bridge, PNode, SNode, SPGraph, fold_term
 from .termalg import LinearTerm, TermNF, nf_linear_product
 
 INF = float("inf")
@@ -91,18 +83,28 @@ def _to_pterm(t):
 
 
 def _subst_first(pt, repl):
-    """Replace the first ``ref`` leaf (depth-first) by ``repl``."""
-    if pt[0] == "ref":
-        return repl, True
-    if pt[0] == "lit":
-        return pt, False
-    tag, cs = pt
-    for i, c in enumerate(cs):
-        nc, done = _subst_first(c, repl)
-        if done:
-            rebuilt = list(cs[:i]) + [nc] + list(cs[i + 1 :])
-            return (_ser(rebuilt) if tag == "ser" else _par(rebuilt)), True
-    return pt, False
+    """Replace the first ``ref`` leaf (depth-first) of ``pt``, which has
+    one, by ``repl``.
+
+    Iterative, so deep terms do not hit the recursion limit: ``path`` holds
+    each layer on the way down to the leaf with the index of the child being
+    visited, and the layers are rebuilt bottom-up once the leaf is found."""
+    path: list = []
+    t = pt
+    while t[0] != "ref":
+        if t[0] != "lit":  # a layer: visit its first child
+            path.append([t, 0])
+            t = t[1][0]
+            continue
+        while path[-1][1] == len(path[-1][0][1]) - 1:
+            path.pop()  # a layer with no child left to visit
+        path[-1][1] += 1
+        t = path[-1][0][1][path[-1][1]]
+    t = repl
+    for (tag, cs), i in reversed(path):
+        rebuilt = [*cs[:i], t, *cs[i + 1 :]]
+        t = _ser(rebuilt) if tag == "ser" else _par(rebuilt)
+    return t
 
 
 def _first_ref(pt):
@@ -117,14 +119,25 @@ def _first_ref(pt):
 
 
 def _to_graph(pt) -> SPGraph:
-    if pt[0] == "lit":
-        return Bridge(pt[1])
-    parts = [_to_graph(c) for c in pt[1]]
-    combine = compose_serial if pt[0] == "ser" else compose_parallel
-    g = parts[0]
-    for part in parts[1:]:
-        g = combine(g, part)
-    return g
+    """The graph of a ground partial term: each of its flat layers is one
+    ``SNode`` or ``PNode``.  Iterative post-order, so deep terms do not hit
+    the recursion limit; a layer is pushed again, marked, below its
+    children and built once they are."""
+    out: list = []
+    stack: list = [(pt, False)]
+    while stack:
+        t, built = stack.pop()
+        if t[0] == "lit":
+            out.append(Bridge(t[1]))
+        elif built:
+            n = len(t[1])
+            parts = tuple(out[-n:])
+            del out[-n:]
+            out.append((SNode if t[0] == "ser" else PNode)(parts))
+        else:
+            stack.append((t, True))
+            stack += ((c, False) for c in reversed(t[1]))
+    return out[0]
 
 
 @lru_cache(maxsize=None)
@@ -178,7 +191,7 @@ def lang_from(g: Grammar, name: str, max_edges: int) -> frozenset:
             out.add(_to_graph(pt))
             continue
         for body in bodies.get(ref, ()):
-            npt, _ = _subst_first(pt, body)
+            npt = _subst_first(pt, body)
             if npt not in seen and _lower_bound(npt, best) <= max_edges:
                 seen.add(npt)
                 queue.append(npt)
@@ -202,15 +215,13 @@ def _derivers(g: Grammar, names, c: SPGraph):
     return {x for x in names if c in lang_from(g, x, c.edges)}
 
 
-def enumerate_p_views(graph: SPGraph, g: Grammar, p: str, table=None) -> TermNF:
+def enumerate_p_views(graph: SPGraph, g: Grammar, p: str) -> TermNF:
     """The reduced sum, over all ways of deriving every parallel component of
     ``graph`` from one S-variable known to ``p``, of the product of those
     variables."""
     if not isinstance(graph, PNode):
         raise ValueError("parallel views are only defined for parallel graphs")
-    if table is None:
-        table = compute_base_period(g)
-    ctx = table.context(p)
+    ctx = compute_base_period(g).context(p)
     factors = [
         LinearTerm.of(_derivers(g, set(ctx), c), one=False) for c in graph.children
     ]

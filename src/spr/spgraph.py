@@ -391,7 +391,7 @@ class _TermParser:
     parser rejects wherever it stands.
     """
 
-    def __init__(self, source, names=None, exponents=False):
+    def __init__(self, source, names=None):
         """``source`` is the text to read, or its ``tokenize`` triples."""
         if isinstance(source, str):
             self.text = source
@@ -400,7 +400,6 @@ class _TermParser:
             self.toks = source
             self.words = [tok for tok, _, _ in source]
         self.names = names
-        self.exponents = exponents
         self.saw_exponent = False
 
     @cached_property
@@ -489,7 +488,7 @@ class _TermParser:
 
     def exponent(self, i) -> int:
         """The count of the exponent whose ``^`` is token ``i``."""
-        if not self.exponents:
+        if self.names is None:
             self.error("exponents are not valid in graph terms", i)
         if i + 1 >= len(self.words):
             self.error("unexpected end of input", i + 1)

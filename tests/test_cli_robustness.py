@@ -1,7 +1,8 @@
 """Every input the CLI accepts ends in exit 0, 1 or 2 with a message, never
 in an uncaught exception: generated grammar texts (``gen_random_grammar``
 output, free-form rule bodies, and corruptions of both) and term texts,
-through ``check``, ``stats``, ``empty`` and ``member``."""
+through ``check``, ``stats``, ``empty`` and ``member``, and deep grammars
+through ``enumerate``."""
 
 import contextlib
 import io
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from spr.cli import run
 from spr.grammar import format_grammar
 from spr.oracle import gen_random_grammar, gen_worstcase
-from spr.spgraph import format_graph, random_graph
+from spr.spgraph import format_graph, parse_graph, random_graph
 
 # pieces spliced into a text to corrupt it (no digits but "0", so an
 # exponent grows by at most a factor of ten)
@@ -76,7 +77,7 @@ def call(argv, stdin=""):
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
         assert err.getvalue().startswith("error: "), err.getvalue()
-    return code
+    return code, out.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,39 @@ def test_grammar_commands_end_in_an_exit_code(text):
 @given(grammar_texts(), term_texts())
 def test_member_ends_in_an_exit_code(grammar_file, grammar, term):
     call(["member", "-g", grammar_file(grammar), "-t", "-"], stdin=term)
+
+
+def deep_chain(levels: int, routes: int = 1) -> str:
+    """``s_i -> p_i . a`` and ``p_i -> s_{i+1} || a`` down to ``s_levels -> a``,
+    so one graph of ``2 * levels + 1`` edges nested ``levels`` deep; with
+    ``routes=2`` each ``p_i`` has a twin ``q_i`` that derives the same."""
+    heads = ["p", "q"][:routes]
+    lines = [
+        "alphabet: a",
+        "pnonterminals: " + " ".join(f"{h}{i}" for h in heads for i in range(levels)),
+        "snonterminals: " + " ".join(f"s{i}" for i in range(levels + 1)),
+        "axioms: s0",
+        "rules:",
+        f"s{levels} -> a",
+    ]
+    for i in range(levels):
+        for h in heads:
+            lines += [f"s{i} -> {h}{i} . a", f"{h}{i} -> s{i + 1} || a"]
+    return "\n".join(lines) + "\n"
+
+
+def test_enumerate_expands_a_deep_chain(grammar_file):
+    code, out = call(["enumerate", "-g", grammar_file(deep_chain(300)), "-n", "601"])
+    assert code == 0
+    graphs = out.splitlines()
+    assert len(graphs) == 1
+    assert parse_graph(graphs[0]).edges == 601
+
+
+def test_enumerate_of_a_deep_chain_with_twin_routes_ends_in_an_exit_code(grammar_file):
+    # equal deep partial terms may be compared past the recursion limit
+    code, _ = call(["enumerate", "-g", grammar_file(deep_chain(300, routes=2)), "-n", "601"])
+    assert code in (0, 2)
 
 
 # Runs ``spr stats`` on the k = 2 string-matching grammar at the default cap,

@@ -15,8 +15,6 @@ from spr.decision import (
     inclusion,
     intersection_empty,
     is_empty,
-    minimal_graphs,
-    productive_nonterminals,
 )
 from spr.grammar import GrammarError, parse_grammar, rule_rhs_term, validate_regular
 from spr.oracle import gen_random_grammar, gen_worstcase, lang_from, language_upto
@@ -46,22 +44,11 @@ from spr.spgraph import (
 # ---------------------------------------------------------------------------
 
 
-def test_emptiness(univ, empty_grammar):
+def test_emptiness(univ, empty_grammar, chain):
     assert is_empty(empty_grammar)
     assert emptiness_witness(empty_grammar) is None
     assert not is_empty(univ)
     assert format_graph(emptiness_witness(univ)) == "a"
-
-
-def test_productive_nonterminals(empty_grammar, chain):
-    # p -> a is productive, but the axiom s never terminates
-    assert productive_nonterminals(empty_grammar) == {"p"}
-    assert productive_nonterminals(chain) == {"p", "s"}
-
-
-def test_minimal_graphs_per_nonterminal(chain):
-    got = {x: format_graph(w) for x, w in minimal_graphs(chain).items()}
-    assert got == {"p": "a", "s": "a . a"}
     assert format_graph(emptiness_witness(chain)) == "a . a"
 
 
@@ -214,10 +201,15 @@ def test_intersection_of_a_free_form_first_grammar(chain, bundle):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_intersection_of_one_grammar_is_emptiness(seed):
+    # against the oracle: an empty language has no graph of up to 6 edges,
+    # and any other has the witness and no graph of fewer edges
     g = gen_random_grammar(seed)
     res = intersection_empty([g])
-    assert res.witness == emptiness_witness(g)
-    assert res.holds == is_empty(g)
+    n = 6 if res.holds else res.witness.edges
+    assert res.holds == (not language_upto(g, n))
+    if not res.holds:
+        assert res.witness in language_upto(g, n)
+        assert not language_upto(g, n - 1)
 
 
 def test_intersection_of_one_grammar_is_its_language(chain):

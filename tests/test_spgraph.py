@@ -217,7 +217,7 @@ def test_parse_term_folds_each_layer_left():
     assert parse_term("((a || b)) . c") == Serial(Parallel(a, b), c)
     # a rule body's exponent is one more parallel layer of its copies
     p, s = Ref("p"), Ref("s")
-    reader = _TermParser(tokenize("p || s^3 . a"), names={"p": "P", "s": "S"}, exponents=True)
+    reader = _TermParser(tokenize("p || s^3 . a"), names={"p": "P", "s": "S"})
     assert reader.parse() == Parallel(p, Serial(Parallel(Parallel(s, s), s), a))
     assert reader.saw_exponent
 
