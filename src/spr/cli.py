@@ -21,7 +21,6 @@ from .decision import (
     filter_grammar,
     inclusion,
     intersection_empty,
-    is_empty,
 )
 from .grammar import (
     GrammarError,
@@ -121,7 +120,8 @@ def _cmd_filter(args) -> int:
     mode = "reject" if args.reject else "accept"
     g = filter_grammar(left, right, mode=mode, cap=args.cap)
     text = format_grammar(g)
-    _emit(args, {"grammar": text, "empty": is_empty(g)}, [text.rstrip("\n")])
+    # every split nonterminal derives its value's witness: empty iff no axiom
+    _emit(args, {"grammar": text, "empty": not g.axioms}, [text.rstrip("\n")])
     return 0
 
 

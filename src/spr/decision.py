@@ -304,7 +304,7 @@ def intersection_empty(grammars, cap: Optional[int] = None) -> DecisionResult:
     ctxs = [build_ctx(g) for g in rest]
 
     # packed over each context's own space, as everything the loop composes
-    empties = [ctx.sspace.make(()) for ctx in ctxs]
+    empties = [ctx.make(()) for ctx in ctxs]
 
     def atom(a):
         return tuple(ctx.bridge_profiles.get(a, e) for ctx, e in zip(ctxs, empties))

@@ -347,7 +347,7 @@ def normalize(g: Grammar) -> Grammar:
     Where several A-rules share a pair (p, s), each gets a fresh copy of s
     (inheriting all of s's rules).  Where a variable is used by both the
     A-rule and some B-rule of the same p, the B-occurrences are renamed to a
-    fresh copy.  Fresh copies are never axioms.
+    fresh copy.  Fresh copies are never axioms; with none, ``g`` is returned.
     """
     rep = validate_regular(g)
     if not rep.ok:
@@ -397,6 +397,8 @@ def normalize(g: Grammar) -> Grammar:
                     rules[i] = RuleB(p, body)
             rules.extend(_with_lhs(r, copy) for r in _s_rules_of(rules, s))
 
+    if len(snames) == len(g.snames):
+        return g
     return Grammar(g.alphabet, g.pnames, tuple(snames), g.axioms, tuple(rules))
 
 
@@ -562,10 +564,13 @@ def parse_grammar(text: str) -> Grammar:
             raise ParseError(f"undeclared rule head {lhs!r}", lineno + 1, 1)
         try:
             parser = _TermParser(rhs_text, names=kinds)
-            rhs = parser.parse()
+            rule = _classify(lhs, kinds, parser.parse())
+            if parser.exponent_at is not None and not isinstance(rule, (RuleA, RuleB, RuleAlt)):
+                msg = "exponents are only valid on S-nonterminals in parallel rule bodies"
+                parser.error(msg, parser.exponent_at)
         except ParseError as e:  # e.col counts from the text after '->'
             raise ParseError(e.msg, lineno + 1, e.col + lines[lineno].index("->") + 2) from None
-        rules.append(_classify(lhs, kinds, rhs, parser.saw_exponent, lineno + 1))
+        rules.append(rule)
     return Grammar(
         header["alphabet"],
         header["pnonterminals"],
@@ -588,9 +593,9 @@ def _flatten(t: Term, cls) -> list[Term]:
     return out
 
 
-def _classify(lhs: str, kinds: dict, rhs: Term, saw_exponent: bool, lineno: int) -> Rule:
+def _classify(lhs: str, kinds: dict, rhs: Term) -> Rule:
     """Match a parsed body against the regular shapes; anything else is a
-    free-form rule (but exponents are only allowed in the shaped cases)."""
+    free-form rule."""
     rule: Rule = RuleFree(lhs, rhs)
     pfactors = _flatten(rhs, Parallel)
     if all(isinstance(f, (Ref, Atom)) for f in pfactors):
@@ -627,12 +632,6 @@ def _classify(lhs: str, kinds: dict, rhs: Term, saw_exponent: bool, lineno: int)
                 rule = RuleC(lhs, sfactors[0].name, sfactors[1].name)
             elif (k0, k1) == ("P", "P"):
                 rule = RuleD(lhs, sfactors[0].name, sfactors[1].name)
-    if saw_exponent and not isinstance(rule, (RuleA, RuleB, RuleAlt)):
-        raise ParseError(
-            "exponents are only valid on S-nonterminals in parallel rule bodies",
-            lineno,
-            1,
-        )
     return rule
 
 

@@ -50,39 +50,47 @@ INF = float("inf")
 # states reached along different derivation orders collapse.  Expanding only
 # the first remaining reference (in one fixed traversal order) is complete:
 # references derive independently of their context.
+#
+# The partial terms built with one table ``layers`` are hash-consed: equal
+# ones are one object, keyed by tag and child ids, so comparing two terms
+# stops at their shared children instead of descending through every level.
 
 
-def _ser(children):
+def _cons(layers, tag, children):
+    return layers.setdefault((tag, *map(id, children)), (tag, tuple(children)))
+
+
+def _ser(children, layers):
     out = []
     for c in children:
         if c[0] == "ser":
             out.extend(c[1])
         else:
             out.append(c)
-    return out[0] if len(out) == 1 else ("ser", tuple(out))
+    return out[0] if len(out) == 1 else _cons(layers, "ser", out)
 
 
-def _par(children):
+def _par(children, layers):
     out = []
     for c in children:
         if c[0] == "par":
             out.extend(c[1])
         else:
             out.append(c)
-    return out[0] if len(out) == 1 else ("par", tuple(sorted(out)))
+    return out[0] if len(out) == 1 else _cons(layers, "par", sorted(out))
 
 
-def _to_pterm(t):
+def _to_pterm(t, layers):
     return fold_term(
         t,
-        lambda label: ("lit", label),
-        lambda name: ("ref", name),
-        lambda a, b: _ser([a, b]),
-        lambda a, b: _par([a, b]),
+        lambda label: layers.setdefault(("lit", label), ("lit", label)),
+        lambda name: layers.setdefault(("ref", name), ("ref", name)),
+        lambda a, b: _ser([a, b], layers),
+        lambda a, b: _par([a, b], layers),
     )
 
 
-def _subst_first(pt, repl):
+def _subst_first(pt, repl, layers):
     """Replace the first ``ref`` leaf (depth-first) of ``pt``, which has
     one, by ``repl``.
 
@@ -103,7 +111,7 @@ def _subst_first(pt, repl):
     t = repl
     for (tag, cs), i in reversed(path):
         rebuilt = [*cs[:i], t, *cs[i + 1 :]]
-        t = _ser(rebuilt) if tag == "ser" else _par(rebuilt)
+        t = _ser(rebuilt, layers) if tag == "ser" else _par(rebuilt, layers)
     return t
 
 
@@ -144,7 +152,7 @@ def _to_graph(pt) -> SPGraph:
 def _min_edges(g: Grammar):
     """Least number of edges derivable from each nonterminal (inf if none)."""
     best = {x: INF for x in g.pnames + g.snames}
-    bodies = [(r.lhs, _to_pterm(rule_rhs_term(r))) for r in g.rules]
+    bodies = [(r.lhs, _to_pterm(rule_rhs_term(r), {})) for r in g.rules]
     changed = True
     while changed:
         changed = False
@@ -177,9 +185,10 @@ def _lower_bound(pt, best):
 def lang_from(g: Grammar, name: str, max_edges: int) -> frozenset:
     """All graphs with at most ``max_edges`` edges derivable from ``name``."""
     best = _min_edges(g)
+    layers: dict = {}  # the hash-consed partial terms of this call
     bodies = {}
     for r in g.rules:
-        bodies.setdefault(r.lhs, []).append(_to_pterm(rule_rhs_term(r)))
+        bodies.setdefault(r.lhs, []).append(_to_pterm(rule_rhs_term(r), layers))
     start = ("ref", name)
     out = set()
     seen = {start}
@@ -191,7 +200,7 @@ def lang_from(g: Grammar, name: str, max_edges: int) -> frozenset:
             out.add(_to_graph(pt))
             continue
         for body in bodies.get(ref, ()):
-            npt = _subst_first(pt, body)
+            npt = _subst_first(pt, body, layers)
             if npt not in seen and _lower_bound(npt, best) <= max_edges:
                 seen.add(npt)
                 queue.append(npt)

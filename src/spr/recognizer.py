@@ -7,10 +7,10 @@ membership of arbitrarily large graphs is decided by one bottom-up sweep:
 * an ``SProfile`` (for bridges and serial graphs) is the set of pairs
   ``(s, q)`` meaning S-nonterminal ``s`` derives the whole graph followed by
   remainder nonterminal ``q``; ``q is None`` (⊥) marks a complete derivation.
-  The recognizer packs it over its context's ``SSpace``, where remainder
-  ``j`` runs over the S-names, then the P-names, then ⊥: the profile is the
-  flat tuple ``(i, row_i, ...)`` of its nonzero rows, and bit ``j`` of the
-  ``int`` ``row_i`` stands for the pair (S-name ``i``, remainder ``j``).
+  The recognizer packs it over its context's remainder index ``names``:
+  remainder ``j`` runs over the S-names, the P-names, then ⊥; the profile is
+  the flat tuple ``(i, row_i, ...)`` of its nonzero rows, and bit ``j`` of
+  ``row_i`` stands for the pair (S-name ``i``, remainder ``j``).
   ``SProfile(pairs)`` is the exchange form that the view oracles build and
   ``.pairs`` reads back from any profile; it is packed where it enters the
   recognizer.
@@ -22,19 +22,19 @@ membership of arbitrarily large graphs is decided by one bottom-up sweep:
 
 The two views convert into each other: ``par_map`` reads a serial graph as a
 single parallel component, ``seq_map`` turns a parallel graph's views into
-chain steps through the serial rules.  A profile computes each view the
-first time it is asked for and keeps it: a serial profile its left view
-(index tuples: the rows' S-names, each row's first S-remainder, and the few
-rows with further S-remainders or with P-remainders), its rows indexed by
-S-name (on the right), its ⊥ rows and its ``par_map``; a parallel profile
-its finished mask (the P-names that accept it as a finished layer, as
-remainder bits) and its ``seq_map``.  ``op_serial`` is then composition of
-relations: every row of the left profile ORs the right profile's rows that
-its S-remainders name, and gains ⊥ when one of its P-remainders is in the
-right profile's finished mask.  The rows named by first S-remainders are
+chain steps through the serial rules.  The context computes each view of a
+profile the first time it is asked for, and the profile keeps it: a serial
+profile its left view (index tuples: the rows' S-names, each row's first
+S-remainder, and the few rows with further S-remainders or with
+P-remainders), its rows indexed by S-name (on the right) and its
+``par_map``; a parallel profile its finished mask (the P-names that accept
+it as a finished layer, as remainder bits) and its ``seq_map``.
+``op_serial`` is then composition of relations: every row of the left
+profile ORs the right profile's rows that its S-remainders name, and gains
+⊥ when one of its P-remainders is in the right profile's finished mask.  The rows named by first S-remainders are
 fetched in one C-level gather; Python steps in only for the other rows.
 Views depend on the context, so a profile keeps them only for the context
-whose ``SSpace`` it is packed over; any other profile is packed anew first.
+whose ``names`` it is packed over; any other profile is packed anew first.
 
 The recognizer's algebra is finite, so a large graph goes through few
 distinct profiles.  ``eval_graph`` therefore interns every profile it meets
@@ -94,11 +94,11 @@ Pair = tuple[str, Optional[str]]
 
 
 class SProfile:
-    """A serial profile, packed (``rows`` over ``space``) or in exchange form
-    (``rows`` and ``space`` are ``None``); see the module docstring.  Two
-    profiles are equal when their pairs are.  Like ``TermNF`` and
-    ``PackedTerm``, the two forms hash differently: sets and dict keys must
-    hold one form only."""
+    """A serial profile, packed (``rows`` over the remainder index ``space``)
+    or in exchange form (``rows`` and ``space`` are ``None``); see the module
+    docstring.  Two profiles are equal when their pairs are.  Like ``TermNF``
+    and ``PackedTerm``, the two forms hash differently: sets and dict keys
+    must hold one form only."""
 
     __slots__ = ("rows", "space", "_pairs", "_left", "_heads", "_par")
 
@@ -109,14 +109,14 @@ class SProfile:
     @property
     def pairs(self) -> frozenset:
         if self._pairs is None:
-            self._pairs = self.space.decode(self.rows)
+            self._pairs = _decode(self.space, self.rows)
         return self._pairs
 
     def __eq__(self, other):
         if type(other) is not SProfile:
             return NotImplemented
         a, b = self.space, other.space
-        if a is not None and b is not None and (a is b or a.names == b.names):
+        if a is not None and b is not None and (a is b or a == b):
             return self.rows == other.rows
         return self.pairs == other.pairs
 
@@ -134,9 +134,9 @@ class SProfile:
 
 class PProfile:
     """A parallel profile: ``entries`` is ``((p, term), ...)`` in grammar
-    P-order (see ``RecognizerCtx.spaces``).  ``space`` is the ``SSpace`` of
-    the context whose views the profile keeps, ``None`` for a profile built
-    outside the recognizer."""
+    P-order (see ``RecognizerCtx.spaces``).  ``space`` is the remainder index
+    of the context whose views the profile keeps, ``None`` for a profile
+    built outside the recognizer."""
 
     __slots__ = ("entries", "space", "_fin", "_seq")
 
@@ -175,20 +175,41 @@ def profile_to_json(h: Profile):
 _new = object.__new__
 
 
-class SSpace:
-    """The remainder index of one context's serial profiles, and the tables
-    that compute the views of its profiles as bit operations.
+def _decode(names: tuple, rows: tuple) -> frozenset:
+    return frozenset(
+        (names[rows[k]], names[j])
+        for k in range(0, len(rows), 2)
+        for j in _set_bits(rows[k + 1])
+    )
 
+
+class RecognizerCtx:
+    """One grammar's profile algebra: its tables, and the views of the
+    profiles packed over it as bit operations.
+
+    ``grammar`` is the normalized alternative working form of ``source``;
+    ``contexts[p]`` holds p's variable classes, ``spaces[p]`` the
+    ``TermSpace`` p's terms are packed over (p's variable classes when the
+    box exceeds ``termalg.BOX_LIMIT`` and its terms stay ``TermNF``s), and
+    ``accepting[p] & t`` tests whether term ``t`` finishes a derivation.
     Remainder ``j`` is ``names[j]``: the S-names, the P-names, then ``None``
     for ⊥.  ``layers`` holds per P-name its term space, its accepting mask,
     its remainder bit, and the bits its S-variables set in its terms indexed
     by S-name (``None`` when its terms stay ``TermNF``s); ``steps[j]`` holds
-    the pairs ``(i, bit)`` of the serial rules headed by P-name ``j``.
+    the pairs ``(i, bit)`` of the serial rules headed by P-name ``j``.  A
+    packed profile's ``space`` is ``names``, not the context, so that bridge
+    profiles make no reference cycle.
     """
 
-    def __init__(self, work: Grammar, spaces: dict, accepting: dict, serial_rules):
-        snames, pnames = tuple(work.snames), tuple(work.pnames)
-        self.names = snames + pnames + (None,)
+    def __init__(self, source, work, contexts, spaces, accepting, serial_rules, bridges):
+        self.source = source
+        self.grammar = work
+        self.contexts = contexts
+        self.spaces = spaces
+        self.accepting = accepting
+        snames, pnames = work.snames, work.pnames
+        # a new tuple per context: ``own`` tells contexts apart by it
+        self.names = (*snames, *pnames, None)
         index = self.index = {q: j for j, q in enumerate(self.names)}
         self.ns = ns = len(snames)
         self.s_bits = (1 << ns) - 1
@@ -196,7 +217,6 @@ class SSpace:
         self.bot = 1 << index[None]
         self.s_axioms = sum(1 << index[x] for x in work.axioms if index[x] < ns)
         self.p_axioms = sum(1 << index[x] for x in work.axioms if index[x] >= ns)
-        self.spaces = spaces
         self.layers = []
         for p in pnames:
             space = spaces[p]
@@ -209,14 +229,15 @@ class SSpace:
         for lhs, head, rem in serial_rules:
             steps[index[head]].append((index[lhs], 1 << index[rem]))
         self.steps = tuple(map(tuple, steps))
+        self.bridge_profiles = {a: self.pack(pairs) for a, pairs in bridges.items()}
 
     # -- building and reading packed profiles ---------------------------------
 
     def make(self, rows: tuple) -> SProfile:
-        """The profile of the flat row tuple ``rows``, packed over this space."""
+        """The profile of the flat row ``rows``, packed over this context."""
         h = _new(SProfile)
         h.rows = rows
-        h.space = self
+        h.space = self.names
         h._pairs = h._left = h._heads = h._par = None
         return h
 
@@ -235,27 +256,19 @@ class SSpace:
             rows[index[s]] |= 1 << index[q]
         return self.from_dense(rows)
 
-    def decode(self, rows: tuple) -> frozenset:
-        names = self.names
-        return frozenset(
-            (names[rows[k]], names[j])
-            for k in range(0, len(rows), 2)
-            for j in _set_bits(rows[k + 1])
-        )
-
     def pprofile(self, entries: tuple) -> PProfile:
         t = _new(PProfile)
         t.entries = entries
-        t.space = self
+        t.space = self.names
         t._fin = t._seq = None
         return t
 
     def own(self, h: Profile) -> Profile:
-        """``h`` packed over this space: ``h`` itself when it already is,
+        """``h`` packed over this context: ``h`` itself when it already is,
         else a copy, so that no view is kept on a profile another context
         can see.  A parallel copy holds its terms in the representation
         ``spaces`` asks for, so equal profiles hash equal."""
-        if h.space is self:
+        if h.space is self.names:
             return h
         if type(h) is SProfile:
             return self.pack(h.pairs)
@@ -265,7 +278,7 @@ class SSpace:
             for p, t in h.entries
         ))
 
-    # -- the views of profiles packed over this space ---------------------------
+    # -- the views of profiles packed over this context -----------------------
 
     def left(self, h: SProfile) -> tuple:
         """The rows as ``op_serial`` reads them on the left: the S-name of
@@ -352,24 +365,6 @@ class SSpace:
         return v
 
 
-@dataclass
-class RecognizerCtx:
-    """Preprocessed grammar tables shared by all profile operations."""
-
-    source: Grammar
-    grammar: Grammar  # normalized alternative working form
-    contexts: dict  # p -> variable classes for nf
-    # p -> TermSpace its terms are packed over, or p's variable classes when
-    # the box exceeds termalg.BOX_LIMIT and its terms stay TermNFs
-    spaces: dict
-    # p -> the monomials finishing a derivation: a bitmask over p's space
-    # (a frozenset of monomials for TermNF terms); ``accepting[p] & t`` tests
-    accepting: dict
-    sspace: SSpace  # the index serial profiles are packed over
-    bridge_profiles: dict  # label -> SProfile
-    pset: frozenset
-
-
 def build_ctx(g: Grammar) -> RecognizerCtx:
     if any(isinstance(r, RuleAlt) for r in g.rules):
         if not (is_normalized(g) and is_alternative(g)):
@@ -415,7 +410,6 @@ def build_ctx(g: Grammar) -> RecognizerCtx:
         elif isinstance(r, RuleD):
             serial_rules.append((r.s, r.p1, r.p2))
     accepting = {p: _accept_mask(ms, spaces[p]) for p, ms in accepting.items()}
-    sspace = SSpace(work, spaces, accepting, serial_rules)
 
     pbridge = defaultdict(set)  # p -> labels p derives as a lone edge
     for r in work.rules:
@@ -428,18 +422,9 @@ def build_ctx(g: Grammar) -> RecognizerCtx:
         for lhs, head, rem in serial_rules:
             if a in pbridge[head]:
                 pairs.add((lhs, rem))
-        bridges[a] = sspace.pack(pairs)
+        bridges[a] = pairs
 
-    return RecognizerCtx(
-        source=g,
-        grammar=work,
-        contexts=contexts,
-        spaces=spaces,
-        accepting=accepting,
-        sspace=sspace,
-        bridge_profiles=bridges,
-        pset=frozenset(work.pnames),
-    )
+    return RecognizerCtx(g, work, contexts, spaces, accepting, serial_rules, bridges)
 
 
 def _accept_mask(monos, space):
@@ -464,9 +449,8 @@ def par_map(h: Profile, ctx: RecognizerCtx) -> PProfile:
     """Read any profile as a parallel one: for each p, the reduced sum of p's
     variables that derive the graph completely (parallel profiles pass
     through unchanged)."""
-    sp = ctx.sspace
-    h = sp.own(h)
-    return sp.par(h) if type(h) is SProfile else h
+    h = ctx.own(h)
+    return ctx.par(h) if type(h) is SProfile else h
 
 
 def seq_map(h: Profile, ctx: RecognizerCtx) -> frozenset:
@@ -475,8 +459,7 @@ def seq_map(h: Profile, ctx: RecognizerCtx) -> frozenset:
     already relations and pass through unchanged)."""
     if isinstance(h, SProfile):
         return h.pairs
-    sp = ctx.sspace
-    return sp.seq(sp.own(h)).pairs
+    return ctx.seq(ctx.own(h)).pairs
 
 
 def op_parallel(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> PProfile:
@@ -488,16 +471,15 @@ def op_parallel(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> PProfile:
         (p, a if not a else b if not b else term_mul(a, b, spaces[p]))
         for (p, a), (_, b) in zip(t1.entries, t2.entries)
     )
-    return ctx.sspace.pprofile(entries)
+    return ctx.pprofile(entries)
 
 
 def op_serial(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> SProfile:
-    sp = ctx.sspace
-    h1, h2 = sp.own(h1), sp.own(h2)
-    r1 = h1 if type(h1) is SProfile else sp.seq(h1)
-    r2 = h2 if type(h2) is SProfile else sp.seq(h2)
-    heads = sp.heads(r2)
-    names, first, more, pend = sp.left(r1)
+    h1, h2 = ctx.own(h1), ctx.own(h2)
+    r1 = h1 if type(h1) is SProfile else ctx.seq(h1)
+    r2 = h2 if type(h2) is SProfile else ctx.seq(h2)
+    heads = ctx.heads(r2)
+    names, first, more, pend = ctx.left(r1)
     # every row takes the right row its first S-remainder names; only rows
     # with more remainders, or with P-remainders, need a step of their own
     out = list(map(heads.__getitem__, first))
@@ -507,11 +489,11 @@ def op_serial(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> SProfile:
     if pend:
         # a P-remainder must derive the whole right part as one finished
         # layer
-        fin = sp.finished(sp.par(h2) if type(h2) is SProfile else h2)
+        fin = ctx.finished(ctx.par(h2) if type(h2) is SProfile else h2)
         for k, pbits in pend:
             if pbits & fin:
-                out[k] |= sp.bot
-    return sp.make(tuple(chain.from_iterable(compress(zip(names, out), out))))
+                out[k] |= ctx.bot
+    return ctx.make(tuple(chain.from_iterable(compress(zip(names, out), out))))
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +553,10 @@ def eval_graph(g: SPGraph, ctx: RecognizerCtx, stats: Optional[dict] = None) -> 
 
 
 def accepts(h: Profile, ctx: RecognizerCtx) -> bool:
-    sp = ctx.sspace
-    h = sp.own(h)
+    h = ctx.own(h)
     if type(h) is SProfile:
-        return bool(sp.done(h) & sp.s_axioms)
-    return bool(sp.finished(h) & sp.p_axioms)
+        return bool(ctx.done(h) & ctx.s_axioms)
+    return bool(ctx.finished(h) & ctx.p_axioms)
 
 
 def member(graph: SPGraph, g: Grammar, ctx: Optional[RecognizerCtx] = None) -> bool:
@@ -637,7 +618,9 @@ def reachable_profiles(
     ``entries``.  ``stats`` receives the effort as ``eval_graph`` reports
     it: ``compositions``, ``table_hits`` (profiles taken whose ``par_map``
     image an earlier profile had, so their parallel products are already
-    made) and ``profiles``.
+    made) and ``profiles``.  Only bridges are serial right operands, so a
+    serial profile that is none drops its ``par_map`` view once the image is
+    taken: nothing reads it again.
     """
     _check_cap(cap)
     found = list(dict.fromkeys(ctx.bridge_profiles[a] for a in ctx.grammar.alphabet))
@@ -659,6 +642,8 @@ def reachable_profiles(
             for y in s_atoms:
                 yield op_serial(x, y, ctx)
             image = par_map(x, ctx)
+            if i >= n_bridges and type(x) is SProfile:
+                x._par = None  # only bridges are serial right operands
             key = image.entries
             if key in seen:
                 hits += 1

@@ -400,7 +400,7 @@ class _TermParser:
             self.toks = source
             self.words = [tok for tok, _, _ in source]
         self.names = names
-        self.saw_exponent = False
+        self.exponent_at = None  # the token index of the first '^' read
 
     @cached_property
     def toks(self) -> list[tuple[str, int, int]]:
@@ -496,7 +496,8 @@ class _TermParser:
         # a foreign digit such as '\u0663' is a word of its own, not a count
         if not (count.isascii() and count.isdigit()) or int(count) < 1:
             self.error("exponent must be a positive integer", i + 1)
-        self.saw_exponent = True
+        if self.exponent_at is None:
+            self.exponent_at = i
         return int(count)
 
 

@@ -354,6 +354,25 @@ def test_filter_agrees_with_intersection(ga, gab, chain, bundle, even_bundle):
         assert is_empty(filter_grammar(g1, g2, mode="accept")) == empty
 
 
+def test_a_filtered_grammar_is_empty_exactly_when_it_has_no_axioms(
+    univ, ga, gab, chain, bundle, even_bundle
+):
+    # what `spr filter` reports as "empty", with the full search as reference
+    fixtures = [univ, ga, gab, chain, bundle, even_bundle]
+    seeds = [gen_random_grammar(seed) for seed in range(40)]
+    pairs = list(itertools.product(fixtures, repeat=2))
+    pairs += [(g1, g2) for i, g1 in enumerate(seeds) for g2 in seeds[i % 4 :: 4]]
+    checked = set()
+    for (g1, g2), mode in itertools.product(pairs, ("accept", "reject")):
+        try:
+            f = filter_grammar(g1, g2, mode=mode, cap=20_000)
+        except GrammarError:  # a label g2 does not know
+            continue
+        assert is_empty(f) == (not f.axioms)
+        checked.add(not f.axioms)
+    assert checked == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # cardinality bound
 # ---------------------------------------------------------------------------

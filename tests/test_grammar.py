@@ -144,6 +144,7 @@ def test_rule_parse_errors_carry_the_rule_line():
     assert exc.value.line == 7
 
 
+_MISPLACED_EXPONENT = "exponents are only valid on S-nonterminals in parallel rule bodies"
 _HEAD = "alphabet: a\npnonterminals: p\nsnonterminals: s\naxioms: p\nrules:\np -> a\n"
 
 
@@ -159,6 +160,9 @@ _HEAD = "alphabet: a\npnonterminals: p\nsnonterminals: s\naxioms: p\nrules:\np -
         (parse_grammar, _HEAD + "p -> s^", "unexpected end of input", 7, 7),
         # a digit outside ASCII is no count but a character no token starts
         (parse_grammar, _HEAD + "p -> s^\u0663 || s", "unexpected character '\u0663'", 7, 8),
+        # an exponent outside a parallel body of S-nonterminals, at its '^'
+        (parse_grammar, _HEAD + "p -> a^2\n", _MISPLACED_EXPONENT, 7, 7),
+        (parse_grammar, _HEAD + "s -> p . s^2\n", _MISPLACED_EXPONENT, 7, 11),
     ],
 )
 def test_parse_errors_point_at_the_offending_token(read, text, message, line, col):
@@ -331,6 +335,12 @@ def test_normalize_splits_ambiguous_periods():
 def test_normalize_leaves_normal_grammars_alone(ga, chain):
     assert normalize(ga) == ga
     assert normalize(chain) == chain
+
+
+def test_normalize_returns_a_grammar_that_needs_no_copy_itself(ga, chain, univ):
+    assert normalize(ga) is ga
+    assert normalize(chain) is chain
+    assert normalize(univ) is not univ
 
 
 def test_normalize_rejects_free_rules():

@@ -158,7 +158,7 @@ def test_packed_profiles_agree_with_pair_sets(seed):
     # a profile packed anew is the same value, hashing the same
     for h in profiles:
         if isinstance(h, SProfile) and h.space is not None:
-            again = ctx.sspace.pack(h.pairs)
+            again = ctx.pack(h.pairs)
             assert again == h and hash(again) == hash(h) and again.rows == h.rows
 
 
@@ -277,8 +277,8 @@ def _shaped_profiles(ctx, rng):
     """Serial profiles whose rows take every shape: only ⊥, only
     P-remainders, one S-remainder, all S-remainders, and mixes, one row or
     several; then random pair sets."""
-    names = ctx.sspace.names
-    ns = ctx.sspace.ns
+    names = ctx.names
+    ns = ctx.ns
     snames, rems = names[:ns], names[ns:-1]
     pairs = [(s, q) for s in snames for q in names]
     shapes = []
@@ -293,7 +293,7 @@ def _shaped_profiles(ctx, rng):
         ]
     shapes += [set().union(*shapes[k::6]) for k in range(6)]
     shapes += [{pq for pq in pairs if rng.random() < 0.4} for _ in range(20)]
-    return [ctx.sspace.pack(pq) for pq in shapes]
+    return [ctx.pack(pq) for pq in shapes]
 
 
 @pytest.mark.parametrize("name", ["univ", "chain", "bundle", "one_s", "seed44", "seed43"])
@@ -305,7 +305,7 @@ def test_op_serial_gathers_every_row_shape(name, request):
     else:
         g = request.getfixturevalue(name)
     ctx = build_ctx(g)
-    sp, ref = ctx.sspace, PairSets(ctx)
+    sp, ref = ctx, PairSets(ctx)
     serial = _shaped_profiles(ctx, random.Random(name))
     parallel = [h for h in sample_profiles(ctx, cap=40) if isinstance(h, PProfile)]
     # parallel operands: closure values and the images of the shaped ones

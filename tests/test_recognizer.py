@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -68,7 +69,7 @@ def test_build_ctx_rewrites_plain_grammars(univ):
     assert ctx.source == univ
     assert ctx.grammar.snames == ("s", "s$1", "$alt_a", "$alt_b")
     assert ctx.grammar.axioms == ("p", "s", "$alt_a", "$alt_b")
-    assert ctx.pset == frozenset({"p"})
+    assert ctx.grammar.pnames == ("p",)
 
 
 def test_build_ctx_promotes_alternation_targets_of_axioms():
@@ -89,6 +90,25 @@ def test_build_ctx_rejects_halfway_alternative_grammars():
     )
     with pytest.raises(GrammarError, match="must already be normalized"):
         build_ctx(g)
+
+
+def test_contexts_and_their_profiles_make_no_reference_cycle(univ, chain):
+    # a profile records its context's remainder index, not the context, so
+    # a context and the profiles packed over it are freed by reference count
+    rng = random.Random(3)
+    graphs = [random_graph(rng, 200, sorted(g.alphabet)) for g in (univ, chain)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g, graph in zip((univ, chain, gen_worstcase(2)), graphs + [None]):
+            ctx = build_ctx(g)
+            if graph is not None:
+                accepts(eval_graph(graph, ctx), ctx)
+            reachable_profiles(ctx, cap=300)
+            del ctx
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_bridge_profile_unknown_label(univ):
@@ -424,6 +444,17 @@ def test_saturation_composes_each_profile_with_each_atom_once(name, request, mon
     }
 
 
+def test_a_closure_keeps_no_par_map_view_on_serial_profiles_past_bridges():
+    # only bridges are serial right operands, where op_serial reads the view
+    ctx = build_ctx(gen_worstcase(2))
+    bridges = set(ctx.bridge_profiles.values())
+    reach = reachable_profiles(ctx, cap=2000)
+    serial = [h for h in reach.profiles if isinstance(h, SProfile) and h not in bridges]
+    assert len(serial) > 1000
+    assert all(h._par is None for h in serial)
+    assert all(h._par is not None for h in bridges)
+
+
 # ---------------------------------------------------------------------------
 # packed terms against the frozenset terms of oversized boxes
 # ---------------------------------------------------------------------------
@@ -461,7 +492,7 @@ def test_frozenset_terms_give_the_same_profiles(name, request, monkeypatch):
 def _op_parallel_via_term_mul(h1, h2, ctx):
     """``op_parallel`` with every product computed by ``term_mul``."""
     t1, t2 = par_map(h1, ctx), par_map(h2, ctx)
-    return ctx.sspace.pprofile(tuple(
+    return ctx.pprofile(tuple(
         (p, termalg.term_mul(a, b, ctx.spaces[p]))
         for (p, a), (_, b) in zip(t1.entries, t2.entries)
     ))

@@ -219,7 +219,7 @@ def test_parse_term_folds_each_layer_left():
     p, s = Ref("p"), Ref("s")
     reader = _TermParser(tokenize("p || s^3 . a"), names={"p": "P", "s": "S"})
     assert reader.parse() == Parallel(p, Serial(Parallel(Parallel(s, s), s), a))
-    assert reader.saw_exponent
+    assert reader.exponent_at == 3  # the index of the '^' token
 
 
 def test_parse_error_location():
