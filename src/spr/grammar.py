@@ -33,12 +33,18 @@ The text format mirrors the constructors::
 
 Exponents ``s^2`` abbreviate repeated parallel factors and are only accepted
 where the A/B/Alt shapes can absorb them.
+
+``parse_grammar`` reads a rule body in one pass: the term reader hands over
+its flat layers (``spgraph.SerialLayer``/``ParallelLayer`` of names) with
+each ``s^k`` kept as the pair ``(s, k)``, and the regular shapes are read
+off those layers, so an exponent stays a count and costs its digits, not
+its value.  Only a free-form body is folded into a ``Term``.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, fields
 from typing import Union
 
 from .spgraph import (
@@ -46,11 +52,14 @@ from .spgraph import (
     NAME_RE,
     Atom,
     Parallel,
+    ParallelLayer,
     ParseError,
     Ref,
     Serial,
+    SerialLayer,
     Term,
     _TermParser,
+    fold_layers,
     fold_term,
     format_term,
 )
@@ -184,15 +193,10 @@ class Grammar:
             raise GrammarError("duplicate axiom")
         p = set(self.pnames)
         s = set(self.snames)
-        # rules validated and deduplicated (rule sets, first occurrence wins)
-        out = []
-        seen_rules = set()
         for r in self.rules:
             self._check_rule(r, p, s)
-            if r not in seen_rules:
-                seen_rules.add(r)
-                out.append(r)
-        object.__setattr__(self, "rules", tuple(out))
+        # rule sets: duplicates dropped, first occurrence wins
+        object.__setattr__(self, "rules", tuple(dict.fromkeys(self.rules)))
 
     def _check_rule(self, r, p, s):
         def want(x, kind):
@@ -257,6 +261,16 @@ class Grammar:
         return [r for r in self.rules if r.lhs == name]
 
 
+def _derived(g: Grammar, **parts) -> Grammar:
+    """``g`` with some of its parts replaced, built without ``Grammar``'s
+    check: the callers derive the new parts from ``g``'s checked ones, with
+    fresh names only, so the check would find nothing."""
+    out = object.__new__(Grammar)
+    for f in fields(Grammar):
+        object.__setattr__(out, f.name, tuple(parts.get(f.name, getattr(g, f.name))))
+    return out
+
+
 @dataclass(frozen=True)
 class RegularityReport:
     ok: bool
@@ -273,6 +287,34 @@ def validate_regular(g: Grammar) -> RegularityReport:
         else:
             bad.append((r, "free-form right-hand side"))
     return RegularityReport(not bad, tuple(bad))
+
+
+def _require_regular(g: Grammar, what: str) -> None:
+    """Raise ``GrammarError`` "``what``: <first offence>" unless ``g`` is
+    regular."""
+    rep = validate_regular(g)
+    if not rep.ok:
+        raise GrammarError(f"{what}: {rep.offenders[0][1]}")
+
+
+def _body_names(r: Rule) -> tuple[str, ...]:
+    """The nonterminals ``r``'s body names, read from its fields (with
+    repeats, in no set order), so an exponent is not expanded."""
+    if isinstance(r, RuleA):
+        return r.p, r.s
+    if isinstance(r, RuleB):
+        return tuple(v for v, _ in r.body)
+    if isinstance(r, RuleC):
+        return r.p, r.s1
+    if isinstance(r, RuleD):
+        return r.p1, r.p2
+    if isinstance(r, RuleAlt):
+        return (r.s,)
+    if isinstance(r, RuleFree):
+        refs: list = []
+        fold_term(r.rhs, _ignore, refs.append, _ignore, _ignore)
+        return tuple(refs)
+    return ()
 
 
 def rule_rhs_term(r: Rule) -> Term:
@@ -349,9 +391,12 @@ def normalize(g: Grammar) -> Grammar:
     A-rule and some B-rule of the same p, the B-occurrences are renamed to a
     fresh copy.  Fresh copies are never axioms; with none, ``g`` is returned.
     """
-    rep = validate_regular(g)
-    if not rep.ok:
-        raise GrammarError(f"cannot normalize a non-regular grammar: {rep.offenders[0][1]}")
+    _require_regular(g, "cannot normalize a non-regular grammar")
+    return _normalize(g)
+
+
+def _normalize(g: Grammar) -> Grammar:
+    """``normalize`` of a grammar known to be regular."""
     rules = list(g.rules)
     snames = list(g.snames)
     used = set(g.pnames) | set(g.snames) | set(g.alphabet)
@@ -381,15 +426,14 @@ def normalize(g: Grammar) -> Grammar:
             rules.extend(_with_lhs(r, copy) for r in inherited)
 
     periodic = defaultdict(set)
+    bvars = defaultdict(set)
     for r in rules:
         if isinstance(r, RuleA):
             periodic[r.p].add(r.s)
-    for p in sorted(set(g.pnames)):
-        bvars = set()
-        for r in rules:
-            if isinstance(r, RuleB) and r.p == p:
-                bvars.update(v for v, _ in r.body)
-        for s in sorted(bvars & periodic[p]):
+        elif isinstance(r, RuleB):
+            bvars[r.p].update(v for v, _ in r.body)
+    for p in sorted(periodic.keys() & bvars.keys()):
+        for s in sorted(bvars[p] & periodic[p]):
             copy = fresh(s)
             for i, r in enumerate(rules):
                 if isinstance(r, RuleB) and r.p == p and any(v == s for v, _ in r.body):
@@ -399,7 +443,7 @@ def normalize(g: Grammar) -> Grammar:
 
     if len(snames) == len(g.snames):
         return g
-    return Grammar(g.alphabet, g.pnames, tuple(snames), g.axioms, tuple(rules))
+    return _derived(g, snames=snames, rules=rules)
 
 
 def to_alternative(g: Grammar) -> Grammar:
@@ -407,9 +451,12 @@ def to_alternative(g: Grammar) -> Grammar:
     ``s_a -> a``, replace the edge rule by ``p -> s_a``, and promote ``s_a``
     to axiom whenever such a p was an axiom (a lone edge must stay in the
     language through an S-kind start symbol)."""
-    rep = validate_regular(g)
-    if not rep.ok:
-        raise GrammarError(f"cannot convert a non-regular grammar: {rep.offenders[0][1]}")
+    _require_regular(g, "cannot convert a non-regular grammar")
+    return _to_alternative(g)
+
+
+def _to_alternative(g: Grammar) -> Grammar:
+    """``to_alternative`` of a grammar known to be regular."""
     elabels = sorted({r.a for r in g.rules if isinstance(r, RuleE)})
     if not elabels:
         return g
@@ -432,24 +479,24 @@ def to_alternative(g: Grammar) -> Grammar:
             rules.append(r)
     rules.extend(RuleF(copies[a], a) for a in elabels)
     snames = g.snames + tuple(copies[a] for a in elabels)
-    return Grammar(g.alphabet, g.pnames, snames, tuple(axioms), tuple(rules))
+    return _derived(g, snames=snames, axioms=axioms, rules=rules)
 
 
 def is_alternative(g: Grammar) -> bool:
-    if any(isinstance(r, RuleE) for r in g.rules):
-        return False
-    targets = {r.s for r in g.rules if isinstance(r, RuleAlt)}
-    for t in targets:
-        mine = [r for r in g.rules if r.lhs == t]
-        if len(mine) != 1 or not isinstance(mine[0], RuleF):
+    """No edge rule ``p -> a``, and every target of an alternation rule
+    has one rule, ``s -> a``, and is named by no other rule body."""
+    heads = defaultdict(list)  # lhs -> its rules
+    named = set()  # the nonterminals named by bodies of non-Alt rules
+    for r in g.rules:
+        if isinstance(r, RuleE):
             return False
-        for r in g.rules:
-            if isinstance(r, RuleAlt) or r.lhs == t:
-                continue
-            refs: list = []
-            fold_term(rule_rhs_term(r), _ignore, refs.append, _ignore, _ignore)
-            if t in refs:
-                return False
+        heads[r.lhs].append(r)
+        if not isinstance(r, RuleAlt):
+            named.update(_body_names(r))
+    for t in {r.s for r in g.rules if isinstance(r, RuleAlt)}:
+        mine = heads[t]
+        if len(mine) != 1 or not isinstance(mine[0], RuleF) or t in named:
+            return False
     return True
 
 
@@ -498,6 +545,12 @@ def compute_base_period(g: Grammar) -> BasePeriodTable:
                     f"(several {r.p} -> {r.p} || {r.s}^k rules; normalize first)"
                 )
             seen_a.add((r.p, r.s))
+    return _base_period(g)
+
+
+def _base_period(g: Grammar) -> BasePeriodTable:
+    """``compute_base_period`` of a normalized grammar of regular and
+    alternation rules."""
     periodic: dict = {p: {} for p in g.pnames}
     maxexp: dict = {p: {} for p in g.pnames}
     for r in g.rules:
@@ -564,13 +617,14 @@ def parse_grammar(text: str) -> Grammar:
             raise ParseError(f"undeclared rule head {lhs!r}", lineno + 1, 1)
         try:
             parser = _TermParser(rhs_text, names=kinds)
-            rule = _classify(lhs, kinds, parser.parse())
+            body = parser.read()
+            rule = _shape(lhs, kinds, body)
             if parser.exponent_at is not None and not isinstance(rule, (RuleA, RuleB, RuleAlt)):
                 msg = "exponents are only valid on S-nonterminals in parallel rule bodies"
                 parser.error(msg, parser.exponent_at)
         except ParseError as e:  # e.col counts from the text after '->'
             raise ParseError(e.msg, lineno + 1, e.col + lines[lineno].index("->") + 2) from None
-        rules.append(rule)
+        rules.append(rule or RuleFree(lhs, fold_layers(body, kinds)))
     return Grammar(
         header["alphabet"],
         header["pnonterminals"],
@@ -580,59 +634,69 @@ def parse_grammar(text: str) -> Grammar:
     )
 
 
-def _flatten(t: Term, cls) -> list[Term]:
-    out: list[Term] = []
-    stack = [t]
+def _flat(layer) -> tuple:
+    """The parts of ``layer``, each nested layer of its own kind (a
+    parenthesised group) replaced by its parts."""
+    kind = type(layer)
+    if kind not in map(type, layer):
+        return layer
+    out = []
+    stack = [layer]
     while stack:
-        node = stack.pop()
-        if isinstance(node, cls):
-            stack.append(node.right)
-            stack.append(node.left)
+        x = stack.pop()
+        if type(x) is kind:
+            stack += reversed(x)
         else:
-            out.append(node)
-    return out
+            out.append(x)
+    return tuple(out)
 
 
-def _classify(lhs: str, kinds: dict, rhs: Term) -> Rule:
-    """Match a parsed body against the regular shapes; anything else is a
-    free-form rule."""
-    rule: Rule = RuleFree(lhs, rhs)
-    pfactors = _flatten(rhs, Parallel)
-    if all(isinstance(f, (Ref, Atom)) for f in pfactors):
-        counts = Counter(
-            (f.name if isinstance(f, Ref) else f.label, isinstance(f, Ref))
-            for f in pfactors
-        )
-        if kinds[lhs] == "P":
-            svars = {n: c for (n, is_ref), c in counts.items() if is_ref and kinds.get(n) == "S"}
-            others = {n for (n, is_ref), c in counts.items() if not (is_ref and kinds.get(n) == "S")}
-            if not others and len(svars) == len(counts):
-                total = sum(svars.values())
-                if total == 1:
-                    rule = RuleAlt(lhs, next(iter(svars)))
-                else:
-                    rule = RuleB(lhs, tuple(sorted(svars.items())))
-            elif (
-                others == {lhs}
-                and counts.get((lhs, True)) == 1
-                and len(svars) == 1
-            ):
-                (s, ell), = svars.items()
-                rule = RuleA(lhs, s, ell)
-            elif len(pfactors) == 1 and isinstance(pfactors[0], Atom):
-                rule = RuleE(lhs, pfactors[0].label)
+def _shape(lhs: str, kinds: dict, body):
+    """The regular rule ``lhs -> body`` for a body given as the reader's
+    layers (see ``_TermParser.read``), or ``None`` when the body is free-form.
+
+    A P-head's body is a parallel layer, flattened across parentheses, of
+    names and exponent pairs, counted per name: all S-names make an ``Alt``
+    (one copy) or ``B`` rule, the head once beside one S-name an ``A`` rule,
+    and one label an ``E`` rule.  An S-head's body is one label (``F``) or
+    a serial layer of two nonterminals, ``P . S`` (``C``) or ``P . P``
+    (``D``)."""
+    kind = type(body)
+    if kinds[lhs] == "S":
+        if kind is str:
+            return None if body in kinds else RuleF(lhs, body)
+        if kind is not SerialLayer:
+            return None
+        parts = _flat(body)
+        if len(parts) != 2:
+            return None
+        p, s = parts
+        if type(p) is not str or type(s) is not str or kinds.get(p) != "P":
+            return None
+        second = kinds.get(s)
+        if second == "S":
+            return RuleC(lhs, p, s)
+        return RuleD(lhs, p, s) if second == "P" else None
+    counts: dict = {}  # copies per name
+    for x in _flat(body) if kind is ParallelLayer else (body,):
+        if type(x) is str:
+            counts[x] = counts.get(x, 0) + 1
+        elif type(x) is tuple:
+            counts[x[0]] = counts.get(x[0], 0) + x[1]
         else:
-            if len(pfactors) == 1 and isinstance(pfactors[0], Atom):
-                rule = RuleF(lhs, pfactors[0].label)
-    if kinds[lhs] == "S" and len(pfactors) == 1:
-        sfactors = _flatten(rhs, Serial)
-        if len(sfactors) == 2 and all(isinstance(f, Ref) for f in sfactors):
-            k0, k1 = (kinds.get(f.name) for f in sfactors)
-            if (k0, k1) == ("P", "S"):
-                rule = RuleC(lhs, sfactors[0].name, sfactors[1].name)
-            elif (k0, k1) == ("P", "P"):
-                rule = RuleD(lhs, sfactors[0].name, sfactors[1].name)
-    return rule
+            return None
+    svars = [(n, c) for n, c in counts.items() if kinds.get(n) == "S"]
+    if len(svars) == len(counts):
+        if len(svars) == 1 and svars[0][1] == 1:
+            return RuleAlt(lhs, svars[0][0])
+        return RuleB(lhs, tuple(sorted(svars)))
+    if len(svars) == 1 and len(counts) == 2 and counts.get(lhs) == 1:
+        return RuleA(lhs, *svars[0])
+    if len(counts) == 1:
+        (a, c), = counts.items()
+        if c == 1 and a not in kinds:
+            return RuleE(lhs, a)
+    return None
 
 
 def format_rule(r: Rule) -> str:

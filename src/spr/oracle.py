@@ -150,18 +150,43 @@ def _to_graph(pt) -> SPGraph:
 
 @lru_cache(maxsize=None)
 def _min_edges(g: Grammar):
-    """Least number of edges derivable from each nonterminal (inf if none)."""
+    """Least number of edges derivable from each nonterminal (inf if none).
+
+    A worklist fixpoint: every body is evaluated once, and again only when
+    a nonterminal it names has improved since."""
     best = {x: INF for x in g.pnames + g.snames}
     bodies = [(r.lhs, _to_pterm(rule_rhs_term(r), {})) for r in g.rules]
-    changed = True
-    while changed:
-        changed = False
-        for lhs, pt in bodies:
-            val = _lower_bound(pt, best)
-            if val < best[lhs]:
-                best[lhs] = val
-                changed = True
+    users: dict = {x: [] for x in best}  # name -> the bodies naming it
+    for i, (_, pt) in enumerate(bodies):
+        for name in _refs(pt):
+            users[name].append(i)
+    todo = deque(range(len(bodies)))
+    queued = [True] * len(bodies)
+    while todo:
+        i = todo.popleft()
+        queued[i] = False
+        lhs, pt = bodies[i]
+        val = _lower_bound(pt, best)
+        if val < best[lhs]:
+            best[lhs] = val
+            for j in users[lhs]:
+                if not queued[j]:
+                    queued[j] = True
+                    todo.append(j)
     return best
+
+
+def _refs(pt) -> set:
+    """The names of the ``ref`` leaves of a partial term."""
+    out = set()
+    stack = [pt]
+    while stack:
+        t = stack.pop()
+        if t[0] == "ref":
+            out.add(t[1])
+        elif t[0] != "lit":
+            stack.extend(t[1])
+    return out
 
 
 def _lower_bound(pt, best):

@@ -57,7 +57,6 @@ preparation.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, compress
@@ -71,12 +70,13 @@ from .grammar import (
     RuleC,
     RuleD,
     RuleF,
-    compute_base_period,
+    _base_period,
+    _derived,
+    _normalize,
+    _require_regular,
+    _to_alternative,
     is_alternative,
     is_normalized,
-    normalize,
-    to_alternative,
-    validate_regular,
 )
 from .spgraph import Bridge, SNode, SPGraph
 from .termalg import (
@@ -374,10 +374,9 @@ def build_ctx(g: Grammar) -> RecognizerCtx:
             )
         work = g
     else:
-        rep = validate_regular(g)
-        if not rep.ok:
-            raise GrammarError(f"not a regular grammar: {rep.offenders[0][1]}")
-        work = to_alternative(normalize(g))
+        # the one check of g; its working copies are derived unchecked
+        _require_regular(g, "not a regular grammar")
+        work = _to_alternative(_normalize(g))
 
     # An axiom p accepts every bridge its alternation targets spell; those
     # targets derive nothing else, so making them axioms keeps the language
@@ -385,21 +384,19 @@ def build_ctx(g: Grammar) -> RecognizerCtx:
     axioms = set(work.axioms)
     promoted = {r.s for r in work.rules if isinstance(r, RuleAlt) and r.p in axioms}
     if promoted - axioms:
-        work = dataclasses.replace(work, axioms=tuple(work.axioms) + tuple(
-            sorted(promoted - axioms)))
+        work = _derived(work, axioms=work.axioms + tuple(sorted(promoted - axioms)))
 
-    table = compute_base_period(work)
+    table = _base_period(work)
     contexts = {p: table.context(p) for p in work.pnames}
     spaces = {p: term_space(contexts[p]) or contexts[p] for p in work.pnames}
 
     accepting: dict = {p: set() for p in work.pnames}
     falls = defaultdict(set)  # s -> labels derivable in one step
+    serial_rules = []  # (lhs, head_p, remainder) for all C- and D-rules
     for r in work.rules:
         if isinstance(r, RuleF):
             falls[r.s].add(r.a)
-    serial_rules = []  # (lhs, head_p, remainder) for all C- and D-rules
-    for r in work.rules:
-        if isinstance(r, RuleB):
+        elif isinstance(r, RuleB):
             m = Monomial.of(r.body)
             # normalized => every exponent is below its base, nothing reduces
             accepting[r.p].add(m)

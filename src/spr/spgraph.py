@@ -23,14 +23,16 @@ rule right-hand sides use with nonterminal leaves.  One reader serves both.
 It reads the bare words of one ``re.findall`` over the text and works out
 a line and column only for an error, by tokenizing the text then.  It
 collects each layer's parts and hands them, when the layer closes, to a
-builder of the layer's kind.  For a rule body the builders fold the parts
-left into ``Serial``/``Parallel``; for graph text (``parse_graph``) they
-build the canonical node at once, so no term is made.  ``canonicalize``
-turns a term into its graph the same way, also decision witnesses with the
-graphs of their nonterminal leaves.  Both build every node of a graph once,
-from all the parts of its flattened layer, so n edges cost time linear in n
-plus the length of the keys (and one sort per parallel layer), however
-``.`` and ``||`` associate; ``compose_serial``/``compose_parallel`` copy
+builder of the layer's kind.  For a term or a rule body the builders keep
+the parts as a ``SerialLayer``/``ParallelLayer`` (an exponent ``s^k``
+stays the pair ``(s, k)``), which the grammar reader classifies as they
+are and ``fold_layers`` folds left into ``Serial``/``Parallel``; for graph
+text (``parse_graph``) they build the canonical node at once, so no term
+is made.  ``canonicalize`` turns a term into its graph the same way, also
+decision witnesses with the graphs of their nonterminal leaves.  Both
+build every node of a graph once, from all the parts of its flattened
+layer, so n edges cost time linear in n plus the length of the keys (and
+one sort per parallel layer), however ``.`` and ``||`` associate; ``compose_serial``/``compose_parallel`` copy
 their operands' children and suit composing a few graphs, not building one.
 """
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
@@ -354,15 +356,60 @@ def _words(text: str) -> list[str]:
     return _WORD_RE.findall(text)
 
 
-def _graph_layer(node):
-    """The graph builder of ``node``'s layers: one node of all the parts."""
+class SerialLayer(tuple):
+    """The parts of one serial layer of a term's text, left to right, as
+    the reader collects them: each a leaf's name, an exponent's pair
+    ``(name, k)``, or a ``ParallelLayer`` -- or a ``SerialLayer``, where a
+    parenthesised serial group is a part of a serial layer."""
+
+    __slots__ = ()
+
+
+class ParallelLayer(tuple):
+    """The parts of one parallel layer of a term's text, left to right; the
+    mirror image of ``SerialLayer``."""
+
+    __slots__ = ()
+
+
+def _layer(node):
+    """The builder of ``node``'s layers: one ``node`` of all the parts."""
     return lambda parts: parts[0] if len(parts) == 1 else node(tuple(parts))
 
 
-# (leaf, serial layer, parallel layer): a rule body's layers fold left, as
-# ``a . b . c`` reads ``Serial(Serial(a, b), c)``
-_TERM_BUILDERS = (Atom, partial(reduce, Serial), partial(reduce, Parallel))
-_GRAPH_BUILDERS = (Bridge, _graph_layer(SNode), _graph_layer(PNode))
+# (label leaf, serial layer, parallel layer)
+_LAYER_BUILDERS = (str, _layer(SerialLayer), _layer(ParallelLayer))
+_GRAPH_BUILDERS = (Bridge, _layer(SNode), _layer(PNode))
+
+
+def fold_layers(body, names=()) -> Term:
+    """The term of ``body``, the layers ``_TermParser.read`` gives: each
+    layer folds left, as ``a . b . c`` reads ``Serial(Serial(a, b), c)``,
+    a leaf named in ``names`` is a ``Ref`` and any other an ``Atom``, and
+    ``s^k`` is k parallel copies of ``s``.
+
+    Iterative post-order, so deep nesting does not hit the recursion limit:
+    below a layer's parts the stack holds a list ``[node, n]`` that folds
+    the last n terms once they are built."""
+    out: list = []
+    stack: list = [body]
+    while stack:
+        x = stack.pop()
+        kind = type(x)
+        if kind is str:
+            out.append(Ref(x) if x in names else Atom(x))
+        elif kind is tuple:
+            leaf = Ref(x[0]) if x[0] in names else Atom(x[0])
+            out.append(reduce(Parallel, [leaf] * x[1]))
+        elif kind is list:
+            node, n = x
+            parts = out[-n:]
+            del out[-n:]
+            out.append(reduce(node, parts))
+        else:
+            stack.append([Serial if kind is SerialLayer else Parallel, len(x)])
+            stack += reversed(x)
+    return out[0]
 
 
 class _TermParser:
@@ -371,17 +418,20 @@ class _TermParser:
 
     ``names`` maps known nonterminal names to their kind; when given, bare
     identifiers found in it become ``Ref`` leaves and exponents ``x^k`` are
-    accepted (expanded into k parallel copies) -- that extension exists only
-    for grammar rule bodies, never for ground graph terms.
+    accepted -- that extension exists only for grammar rule bodies, never
+    for ground graph terms.
 
     Each layer is built once, when it closes, by the builder of its kind from
-    all its parts; a one-part layer is its part.  ``parse()`` builds a free
-    ``Term``, folded left; ``parse(graph=True)`` builds the canonical graph
-    directly.  There a parenthesised layer that is an operand of a layer of
-    its own kind is not built at all: its parts stay where they are and join
-    the enclosing layer, so a graph of n edges costs time linear in n however
-    its text associates.  Open groups live on explicit stacks rather than the
-    Python call stack, so nesting depth is bounded by memory only.
+    all its parts; a one-part layer is its part.  ``read()`` gives the
+    layers as ``SerialLayer``/``ParallelLayer`` tuples of names, with
+    ``x^k`` the pair ``(x, k)``, so an exponent costs its digits, not its
+    value; ``parse()`` folds them into a free ``Term``.
+    ``parse(graph=True)`` builds the canonical graph directly.  There a
+    parenthesised layer that is an operand of a layer of its own kind is
+    not built at all: its parts stay where they are and join the enclosing
+    layer, so a graph of n edges costs time linear in n however its text
+    associates.  Open groups live on explicit stacks rather than the Python
+    call stack, so nesting depth is bounded by memory only.
 
     The parser reads bare words from one scan of the text (``_words``) and
     computes positions only for an error: ``error`` then tokenizes the text,
@@ -419,7 +469,12 @@ class _TermParser:
 
     def parse(self, graph: bool = False):
         """The term the tokens spell or, with ``graph``, its canonical graph."""
-        atom, ser, par = _GRAPH_BUILDERS if graph else _TERM_BUILDERS
+        return self.read(True) if graph else fold_layers(self.read(), self.names or ())
+
+    def read(self, graph: bool = False):
+        """The layers the tokens spell or, with ``graph``, their canonical
+        graph."""
+        atom, ser, par = _GRAPH_BUILDERS if graph else _LAYER_BUILDERS
         words = [*self.words, None]  # None: the end of input
         leaves: dict = {}  # each name read so far, as its leaf
         # the serial parts of every open factor and the parallel parts of
@@ -443,7 +498,7 @@ class _TermParser:
             i += 1
             tok = words[i]
             if tok == "^":
-                t = par([t] * self.exponent(i))
+                t = (t, self.exponent(i))
                 i += 2
                 tok = words[i]
             sers.append(t)
@@ -475,13 +530,14 @@ class _TermParser:
             i += 1  # the operator before the next factor
 
     def leaf(self, tok, i, atom):
-        """The leaf for the name ``tok`` at token ``i``."""
+        """The leaf for the name ``tok`` at token ``i``: a nonterminal's
+        name as it is, a label as ``atom(tok)``."""
         if tok is None:
             self.error("unexpected end of input", i)
         if not NAME_RE.match(tok):
             self.error(f"expected a name, got {tok!r}", i)
         if self.names is not None and tok in self.names:
-            return Ref(tok)
+            return tok
         if not LABEL_RE.match(tok):
             self.error(f"unknown name {tok!r}", i)
         return atom(tok)

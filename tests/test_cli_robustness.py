@@ -140,30 +140,72 @@ def test_enumerate_of_a_deep_chain_with_twin_routes_ends_in_an_exit_code(grammar
     assert parse_graph(graphs[0]).edges == 601
 
 
-# Runs ``spr stats`` on the k = 2 string-matching grammar at the default cap,
-# which needs gigabytes, with this process's address space limited to 64 MB
-# above what it maps after the imports.
-OUT_OF_MEMORY = """\
+# Runs ``spr`` with the arguments it is given, with this process's address
+# space limited to 64 MB above what it maps after the imports.
+LIMITED = """\
 import resource, sys
 from spr.cli import entry
 with open("/proc/self/status") as f:
     size = next(int(line.split()[1]) * 1024 for line in f if line.startswith("VmSize:"))
 resource.setrlimit(resource.RLIMIT_AS, (size + 64 * 2**20, resource.RLIM_INFINITY))
-sys.argv = ["spr", "stats", sys.argv[1]]
+sys.argv = ["spr", *sys.argv[1:]]
 entry()
 """
 
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="needs /proc/self/status"
+)
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
-def test_running_out_of_memory_ends_in_exit_2(tmp_path):
-    grammar = tmp_path / "wc2.spg"
-    grammar.write_text(format_grammar(gen_worstcase(2)))
+
+def run_limited(args, timeout):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-c", OUT_OF_MEMORY, str(grammar)],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-c", LIMITED, *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+@needs_proc
+def test_running_out_of_memory_ends_in_exit_2(tmp_path):
+    # spr stats on the k = 2 string-matching grammar at the default cap
+    # needs gigabytes
+    grammar = tmp_path / "wc2.spg"
+    grammar.write_text(format_grammar(gen_worstcase(2)))
+    proc = run_limited(["stats", str(grammar)], timeout=120)
     assert (proc.returncode, proc.stderr) == (2, "error: out of memory (try a smaller --cap)\n")
     assert proc.stdout == ""
+
+
+NINE_DIGITS = """\
+alphabet: a b
+pnonterminals: p q
+snonterminals: s t
+axioms: p
+rules:
+p -> p || s^999999999
+p -> s^3
+s -> a
+s -> b
+t -> a
+"""
+
+
+@needs_proc
+@pytest.mark.parametrize(
+    "command,alt,code,report",
+    [
+        ("check", False, 0, "regular: True"),
+        ("normalize", False, 0, "p -> p || s^999999999"),
+        ("check", True, 1, "  not regular: single-nonterminal alternation is not a regular shape"),
+    ],
+)
+def test_a_nine_digit_exponent_is_read_as_a_count(tmp_path, command, alt, code, report):
+    # expanded into its copies, the exponent would need about 100 GB; as a
+    # count it is read at once, within the 64 MB left to the process
+    grammar = tmp_path / "nine.spg"
+    grammar.write_text(NINE_DIGITS + ("q -> t\n" if alt else ""))
+    proc = run_limited([command, str(grammar)], timeout=20)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert report in proc.stdout.splitlines()

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from conftest import CHAIN_TEXT, EVEN_BUNDLE_TEXT, UNIV_TEXT
@@ -24,8 +27,17 @@ from spr.grammar import (
     to_alternative,
     validate_regular,
 )
-from spr.oracle import gen_random_grammar, language_upto
-from spr.spgraph import ParseError, format_term, parse_graph
+from spr.oracle import gen_random_grammar, gen_worstcase, language_upto
+from spr.spgraph import (
+    Atom,
+    Parallel,
+    ParseError,
+    Ref,
+    Serial,
+    _TermParser,
+    format_term,
+    parse_graph,
+)
 from spr.termalg import Bounded, Periodic
 
 # ---------------------------------------------------------------------------
@@ -450,3 +462,166 @@ def test_base_period_rejects_free_rules():
 def test_context_for_unknown_p_is_empty():
     tbl = BasePeriodTable({}, {})
     assert tbl.context("p") == {}
+
+
+# ---------------------------------------------------------------------------
+# the layer classifier against the term classifier
+# ---------------------------------------------------------------------------
+
+
+def _flatten(t, cls):
+    """The factors of ``t``'s top ``cls`` layer, across parentheses."""
+    out = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, cls):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            out.append(node)
+    return out
+
+
+def _classify(lhs, kinds, rhs):
+    """Reference classifier: matches a body's term, with every exponent
+    expanded into its copies, against the regular shapes."""
+    rule = RuleFree(lhs, rhs)
+    pfactors = _flatten(rhs, Parallel)
+    if all(isinstance(f, (Ref, Atom)) for f in pfactors):
+        counts = Counter(
+            (f.name if isinstance(f, Ref) else f.label, isinstance(f, Ref))
+            for f in pfactors
+        )
+        if kinds[lhs] == "P":
+            svars = {n: c for (n, is_ref), c in counts.items() if is_ref and kinds.get(n) == "S"}
+            others = {n for (n, is_ref), c in counts.items() if not (is_ref and kinds.get(n) == "S")}
+            if not others and len(svars) == len(counts):
+                if sum(svars.values()) == 1:
+                    rule = RuleAlt(lhs, next(iter(svars)))
+                else:
+                    rule = RuleB(lhs, tuple(sorted(svars.items())))
+            elif others == {lhs} and counts.get((lhs, True)) == 1 and len(svars) == 1:
+                (s, ell), = svars.items()
+                rule = RuleA(lhs, s, ell)
+            elif len(pfactors) == 1 and isinstance(pfactors[0], Atom):
+                rule = RuleE(lhs, pfactors[0].label)
+        elif len(pfactors) == 1 and isinstance(pfactors[0], Atom):
+            rule = RuleF(lhs, pfactors[0].label)
+    if kinds[lhs] == "S" and len(pfactors) == 1:
+        sfactors = _flatten(rhs, Serial)
+        if len(sfactors) == 2 and all(isinstance(f, Ref) for f in sfactors):
+            k0, k1 = (kinds.get(f.name) for f in sfactors)
+            if (k0, k1) == ("P", "S"):
+                rule = RuleC(lhs, sfactors[0].name, sfactors[1].name)
+            elif (k0, k1) == ("P", "P"):
+                rule = RuleD(lhs, sfactors[0].name, sfactors[1].name)
+    return rule
+
+
+def _reference_rule(line, lineno, kinds):
+    """The rule of one rule line as the term reader and ``_classify`` give
+    it, or the ``ParseError`` they raise, placed in its line."""
+    lhs, rhs = line.split("->", 1)
+    lhs = lhs.strip()
+    try:
+        parser = _TermParser(rhs, names=kinds)
+        rule = _classify(lhs, kinds, parser.parse())
+        if parser.exponent_at is not None and not isinstance(rule, (RuleA, RuleB, RuleAlt)):
+            parser.error(_MISPLACED_EXPONENT, parser.exponent_at)
+    except ParseError as e:
+        return ("error", e.msg, lineno, e.col + line.index("->") + 2)
+    return ("rule", rule)
+
+
+def _reference_grammar(text):
+    """``parse_grammar`` of a text in ``format_grammar``'s layout, each rule
+    read by ``_reference_rule``."""
+    lines = text.splitlines()
+    head = [tuple(line.split(":", 1)[1].split()) for line in lines[:4]]
+    kinds = {n: "P" for n in head[1]}
+    kinds.update({n: "S" for n in head[2]})
+    rules = []
+    for lineno, line in enumerate(lines[5:], start=6):
+        outcome = _reference_rule(line, lineno, kinds)
+        assert outcome[0] == "rule", outcome
+        rules.append(outcome[1])
+    return Grammar(*head, rules)
+
+
+_BODY_HEAD = "alphabet: a b\npnonterminals: p q\nsnonterminals: s t\naxioms: p\nrules:\n"
+_BODY_KINDS = {"p": "P", "q": "P", "s": "S", "t": "S"}
+
+
+def _random_leaf(rnd):
+    name = rnd.choice("pqstab")
+    return name + f"^{rnd.randint(1, 3)}" if rnd.random() < 0.3 else name
+
+
+def _random_body(rnd, depth=3):
+    """A body spelled at random: a layer of leaves (names, labels, exponents,
+    repeats) in any order, its runs grouped by parentheses, with nested
+    layers of the other kind, and now and then an exponent on a group."""
+    if depth == 0 or rnd.random() < 0.3:
+        return _random_leaf(rnd)
+    op = rnd.choice([" . ", " || "])
+    parts = [_random_body(rnd, depth - 1) for _ in range(rnd.randint(2, 4))]
+    while len(parts) > 1 and rnd.random() < 0.4:
+        k = rnd.randrange(len(parts) - 1)
+        parts[k : k + 2] = ["(" + parts[k] + op + parts[k + 1] + ")"]
+    text = op.join(parts)
+    if rnd.random() < 0.3:
+        text = "(" + text + ")" + ("^2" if rnd.random() < 0.2 else "")
+    return text
+
+
+def _shaped_body(rnd):
+    """A body near a regular shape: a few S-names, labels, exponents and
+    the head, in any order, grouped at random."""
+    pool = ["s", "t", "s^2", "t^1", "p", "q", "a", "s^3"]
+    if rnd.random() < 0.5:
+        parts = rnd.sample(pool, rnd.randint(1, 4))
+        op = " || "
+    else:
+        parts = [rnd.choice(["p", "q", "s", "p^1", "a"]), rnd.choice(["s", "p", "t", "q^2", "b"])]
+        op = " . "
+    while len(parts) > 1 and rnd.random() < 0.3:
+        k = rnd.randrange(len(parts) - 1)
+        parts[k : k + 2] = ["(" + parts[k] + op + parts[k + 1] + ")"]
+    text = op.join(parts)
+    return "((" + text + "))" if rnd.random() < 0.2 else text
+
+
+def test_layer_classifier_agrees_with_the_term_classifier():
+    rnd = random.Random(16)
+    kinds = dict(_BODY_KINDS)
+    shapes = Counter()
+    for n in range(3000):
+        body = (_shaped_body if n % 2 else _random_body)(rnd)
+        line = f"{rnd.choice('pqst')} -> {body}"
+        want = _reference_rule(line, 6, kinds)
+        try:
+            (rule,) = parse_grammar(_BODY_HEAD + line + "\n").rules
+            got = ("rule", rule)
+        except ParseError as e:
+            got = ("error", e.msg, e.line, e.col)
+        assert got == want, line
+        shapes[type(rule).__name__ if got[0] == "rule" else got[1]] += 1
+    # every shape and the misplaced exponent are met
+    names = {"RuleA", "RuleB", "RuleC", "RuleD", "RuleE", "RuleF", "RuleAlt", "RuleFree"}
+    assert names <= set(shapes), shapes
+    assert shapes[_MISPLACED_EXPONENT] > 100, shapes
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_worstcase_grammars_read_as_the_term_classifier_reads_them(k):
+    text = format_grammar(gen_worstcase(k))
+    assert format_grammar(parse_grammar(text)) == format_grammar(_reference_grammar(text)) == text
+
+
+def test_random_grammars_read_as_the_term_classifier_reads_them():
+    for seed in range(200):
+        text = format_grammar(gen_random_grammar(seed))
+        g = parse_grammar(text)
+        assert g == _reference_grammar(text)
+        assert format_grammar(g) == text

@@ -1,8 +1,13 @@
 import pytest
 
+import conftest
 from spr.decision import emptiness_witness, is_empty
-from spr.grammar import is_normalized, normalize, validate_regular
+from spr.grammar import is_normalized, normalize, parse_grammar, rule_rhs_term, validate_regular
 from spr.oracle import (
+    INF,
+    _lower_bound,
+    _min_edges,
+    _to_pterm,
     enumerate_p_views,
     enumerate_s_views,
     gen_random_grammar,
@@ -12,6 +17,7 @@ from spr.oracle import (
 )
 from spr.recognizer import member
 from spr.spgraph import Bridge, enumerate_graphs, format_graph, parse_graph
+from test_cli_robustness import deep_chain
 
 # ---------------------------------------------------------------------------
 # language enumeration
@@ -89,6 +95,36 @@ def test_parallel_views_count_component_assignments(bundle):
 def test_parallel_views_reject_non_parallel_graphs(bundle):
     with pytest.raises(ValueError, match="parallel views"):
         enumerate_p_views(Bridge("a"), normalize(bundle), "p")
+
+
+# ---------------------------------------------------------------------------
+# least edges per nonterminal
+# ---------------------------------------------------------------------------
+
+
+def _min_edges_by_rounds(g):
+    """Reference fixpoint: re-walk every rule body until a round changes
+    nothing."""
+    best = {x: INF for x in g.pnames + g.snames}
+    bodies = [(r.lhs, _to_pterm(rule_rhs_term(r), {})) for r in g.rules]
+    changed = True
+    while changed:
+        changed = False
+        for lhs, pt in bodies:
+            val = _lower_bound(pt, best)
+            if val < best[lhs]:
+                best[lhs] = val
+                changed = True
+    return best
+
+
+def test_min_edges_worklist_agrees_with_the_round_fixpoint():
+    grammars = [parse_grammar(text) for name, text in vars(conftest).items() if name.endswith("_TEXT")]
+    grammars += [gen_random_grammar(seed) for seed in range(60)]
+    grammars.append(parse_grammar(deep_chain(300, routes=2)))
+    for g in grammars:
+        assert _min_edges(g) == _min_edges_by_rounds(g)
+    assert _min_edges(grammars[-1])["s0"] == 601
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,20 @@
 import gc
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from spr.grammar import GrammarError, normalize, parse_grammar
+import conftest
+from spr import grammar
+from spr.grammar import (
+    Grammar,
+    GrammarError,
+    format_grammar,
+    normalize,
+    parse_grammar,
+    validate_regular,
+)
 from spr.oracle import (
     enumerate_p_views,
     enumerate_s_views,
@@ -90,6 +100,40 @@ def test_build_ctx_rejects_halfway_alternative_grammars():
     )
     with pytest.raises(GrammarError, match="must already be normalized"):
         build_ctx(g)
+
+
+def _regular_texts():
+    texts = [text for name, text in vars(conftest).items() if name.endswith("_TEXT")]
+    texts += [format_grammar(gen_random_grammar(seed)) for seed in range(20)]
+    texts.append(format_grammar(gen_worstcase(2)))
+    return [text for text in texts if validate_regular(parse_grammar(text)).ok]
+
+
+def test_build_ctx_checks_a_regular_grammar_once(monkeypatch):
+    # the grammar is checked when it is read; build_ctx validates its
+    # regularity once and derives its working copies without a check
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    texts = _regular_texts()
+    assert len(texts) > 20
+    monkeypatch.setattr(grammar, "validate_regular", counted("regular", grammar.validate_regular))
+    monkeypatch.setattr(Grammar, "__post_init__", counted("grammar", Grammar.__post_init__))
+    for text in texts:
+        calls.clear()
+        build_ctx(parse_grammar(text))
+        assert calls == {"regular": 1, "grammar": 1}, text
+    monkeypatch.undo()
+    for text in texts:
+        work = build_ctx(parse_grammar(text)).grammar
+        # ... and the working copy passes the check unchanged
+        assert Grammar(work.alphabet, work.pnames, work.snames, work.axioms, work.rules) == work
 
 
 def test_contexts_and_their_profiles_make_no_reference_cycle(univ, chain):
