@@ -168,7 +168,13 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_gen_worstcase(args) -> int:
-    text = format_grammar(gen_worstcase(args.k))
+    k, cap = args.k, args.cap
+    # the grammar has 7 * 2^(k + 2) + 1 rules: weigh them against the cap
+    # before building any (the first test spares a huge power of two)
+    if k >= 2 and (k + 2 >= cap.bit_length() or 7 * 2 ** (k + 2) + 1 > cap):
+        rules = 7 * 2 ** (k + 2) + 1 if k < 62 else f"7 * 2^{k + 2} + 1"
+        raise ValueError(f"gen-worstcase -k {k} makes {rules} rules, more than the cap of {cap}")
+    text = format_grammar(gen_worstcase(k))
     _emit(args, {"grammar": text}, [text.rstrip("\n")])
     return 0
 
@@ -180,7 +186,8 @@ def run(argv=None) -> int:
         "--cap",
         type=int,
         default=1_000_000,
-        help="abort saturations beyond this many states (default 1000000)",
+        help="abort saturations beyond this many states, and gen-worstcase "
+        "beyond this many rules (default 1000000)",
     )
     ap = argparse.ArgumentParser(
         prog="spr",

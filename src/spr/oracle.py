@@ -8,11 +8,14 @@ algorithms against these enumerations on small inputs.
   an edge budget by expanding partial terms.
 * ``enumerate_s_views`` / ``enumerate_p_views``: the serial/parallel
   observations a grammar can make of a concrete graph, computed directly from
-  the definitions by enumerating sub-languages.
+  the definitions by enumerating sub-languages: a frozenset of pairs
+  ``(s, q)`` and a ``TermNF``, the plain values a test compares a profile's
+  ``.pairs`` and terms with.
 * ``gen_random_grammar``: small seeded random regular grammars for fuzzing.
 * ``gen_worstcase``: a grammar family over a 5-letter alphabet whose profile
   reachability blows up exponentially in ``k`` (string matching encoded in
-  graph shape); useful for exercising caps and bounds.
+  graph shape); useful for exercising caps and bounds.  It has
+  ``7 * 2^(k + 2) + 1`` rules.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .grammar import (
     compute_base_period,
     rule_rhs_term,
 )
-from .recognizer import SProfile
 from .spgraph import Bridge, PNode, SNode, SPGraph, fold_term
 from .termalg import LinearTerm, TermNF, nf_linear_product
 
@@ -262,7 +264,7 @@ def enumerate_p_views(graph: SPGraph, g: Grammar, p: str) -> TermNF:
     return nf_linear_product(factors, ctx)
 
 
-def enumerate_s_views(graph: SPGraph, g: Grammar) -> SProfile:
+def enumerate_s_views(graph: SPGraph, g: Grammar) -> frozenset:
     """All pairs (s, q) such that s derives ``graph`` followed by remainder q
     (an S- or P-nonterminal), together with (s, None) for complete
     derivations.  Consumption is per serial component: C-rules step through
@@ -293,7 +295,7 @@ def enumerate_s_views(graph: SPGraph, g: Grammar) -> SProfile:
         cur = nxt
     for s0, states in cur.items():
         pairs.update((s0, q) for q in states)
-    return SProfile(frozenset(pairs))
+    return frozenset(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,17 @@ membership of arbitrarily large graphs is decided by one bottom-up sweep:
 * an ``SProfile`` (for bridges and serial graphs) is the set of pairs
   ``(s, q)`` meaning S-nonterminal ``s`` derives the whole graph followed by
   remainder nonterminal ``q``; ``q is None`` (⊥) marks a complete derivation.
-  The recognizer packs it over its context's remainder index ``names``:
-  remainder ``j`` runs over the S-names, the P-names, then ⊥; the profile is
-  the flat tuple ``(i, row_i, ...)`` of its nonzero rows, and bit ``j`` of
-  ``row_i`` stands for the pair (S-name ``i``, remainder ``j``).
-  ``SProfile(pairs)`` is the exchange form that the view oracles build and
-  ``.pairs`` reads back from any profile; it is packed where it enters the
-  recognizer.
+  It is packed over its context's remainder index ``names``: remainder
+  ``j`` runs over the S-names, the P-names, then ⊥; the profile is the flat
+  tuple ``(i, row_i, ...)`` of its nonzero rows, and bit ``j`` of ``row_i``
+  stands for the pair (S-name ``i``, remainder ``j``).  ``.pairs`` reads the
+  pairs back.
 * a ``PProfile`` (for parallel graphs) maps every P-nonterminal ``p`` to the
   reduced sum of monomials over p's known S-variables, one variable per
   parallel component, describing which parallel layers p can still build.
-  Each sum is packed over p's ``TermSpace`` (one bit per reduced monomial),
-  so composing is masked shifts and testing acceptance is one AND.
+  Each sum is a term of p's space (``termalg.term_space``): packed, one bit
+  per reduced monomial, so that composing is masked shifts and testing
+  acceptance is one AND; a ``TermNF`` when p's box is too large to pack.
 
 The two views convert into each other: ``par_map`` reads a serial graph as a
 single parallel component, ``seq_map`` turns a parallel graph's views into
@@ -33,8 +32,9 @@ it as a finished layer, as remainder bits) and its ``seq_map``.
 profile ORs the right profile's rows that its S-remainders name, and gains
 ⊥ when one of its P-remainders is in the right profile's finished mask.  The rows named by first S-remainders are
 fetched in one C-level gather; Python steps in only for the other rows.
-Views depend on the context, so a profile keeps them only for the context
-whose ``names`` it is packed over; any other profile is packed anew first.
+Profiles exist only packed over a context, made by its ``make``,
+``from_dense``, ``pack`` and ``pprofile``; the operations reject a profile
+of another context with a ``ValueError``.
 
 The recognizer's algebra is finite, so a large graph goes through few
 distinct profiles.  ``eval_graph`` therefore interns every profile it meets
@@ -80,31 +80,21 @@ from .grammar import (
 )
 from .spgraph import Bridge, SNode, SPGraph
 from .termalg import (
-    LinearTerm,
     Monomial,
     TermNF,
-    TermSpace,
     _set_bits,
-    linear_to_nf,
+    linear_to_nf,  # not called here: perfbench/spans.py traces it by name
     term_mul,
     term_space,
 )
 
-Pair = tuple[str, Optional[str]]
-
 
 class SProfile:
-    """A serial profile, packed (``rows`` over the remainder index ``space``)
-    or in exchange form (``rows`` and ``space`` are ``None``); see the module
-    docstring.  Two profiles are equal when their pairs are.  Like ``TermNF``
-    and ``PackedTerm``, the two forms hash differently: sets and dict keys
-    must hold one form only."""
+    """A serial profile: ``rows`` packed over the remainder index ``space``
+    (see the module docstring), made by ``RecognizerCtx.make``.  Two
+    profiles are equal when their pairs are."""
 
     __slots__ = ("rows", "space", "_pairs", "_left", "_heads", "_par")
-
-    def __init__(self, pairs: frozenset):
-        self.rows = self.space = None
-        self._pairs = frozenset(pairs)
 
     @property
     def pairs(self) -> frozenset:
@@ -116,12 +106,12 @@ class SProfile:
         if type(other) is not SProfile:
             return NotImplemented
         a, b = self.space, other.space
-        if a is not None and b is not None and (a is b or a == b):
+        if a is b or a == b:
             return self.rows == other.rows
         return self.pairs == other.pairs
 
     def __hash__(self):
-        return hash(self._pairs if self.rows is None else self.rows)
+        return hash(self.rows)
 
     def __str__(self):
         items = sorted(self.pairs, key=lambda pq: (pq[0], pq[1] or ""))
@@ -134,15 +124,11 @@ class SProfile:
 
 class PProfile:
     """A parallel profile: ``entries`` is ``((p, term), ...)`` in grammar
-    P-order (see ``RecognizerCtx.spaces``).  ``space`` is the remainder index
-    of the context whose views the profile keeps, ``None`` for a profile
-    built outside the recognizer."""
+    P-order, each term of p's space (see ``RecognizerCtx.spaces``), made by
+    ``RecognizerCtx.pprofile``; ``space`` is the remainder index of its
+    context."""
 
     __slots__ = ("entries", "space", "_fin", "_seq")
-
-    def __init__(self, entries: tuple):
-        self.entries = entries
-        self.space = None
 
     def __eq__(self, other):
         if type(other) is not PProfile:
@@ -160,8 +146,6 @@ class PProfile:
 
 
 Profile = Union[SProfile, PProfile]
-
-EMPTY_SPROFILE = SProfile(frozenset())
 
 
 def profile_to_json(h: Profile):
@@ -188,17 +172,15 @@ class RecognizerCtx:
     profiles packed over it as bit operations.
 
     ``grammar`` is the normalized alternative working form of ``source``;
-    ``contexts[p]`` holds p's variable classes, ``spaces[p]`` the
-    ``TermSpace`` p's terms are packed over (p's variable classes when the
-    box exceeds ``termalg.BOX_LIMIT`` and its terms stay ``TermNF``s), and
-    ``accepting[p] & t`` tests whether term ``t`` finishes a derivation.
-    Remainder ``j`` is ``names[j]``: the S-names, the P-names, then ``None``
-    for ⊥.  ``layers`` holds per P-name its term space, its accepting mask,
-    its remainder bit, and the bits its S-variables set in its terms indexed
-    by S-name (``None`` when its terms stay ``TermNF``s); ``steps[j]`` holds
-    the pairs ``(i, bit)`` of the serial rules headed by P-name ``j``.  A
-    packed profile's ``space`` is ``names``, not the context, so that bridge
-    profiles make no reference cycle.
+    ``contexts[p]`` holds p's variable classes, ``spaces[p]`` the space of
+    p's terms (``termalg.term_space``), and ``accepting[p] & t`` tests
+    whether term ``t`` finishes a derivation.  Remainder ``j`` is
+    ``names[j]``: the S-names, the P-names, then ``None`` for ⊥.  ``layers``
+    holds per P-name its space, its accepting term, its remainder bit, and
+    the ``var_bits`` of its S-variables indexed by S-name (0 for an S-name
+    that is not one); ``steps[j]`` holds the pairs ``(i, bit)`` of the serial
+    rules headed by P-name ``j``.  A profile's ``space`` is ``names``, not
+    the context, so that bridge profiles make no reference cycle.
     """
 
     def __init__(self, source, work, contexts, spaces, accepting, serial_rules, bridges):
@@ -208,7 +190,7 @@ class RecognizerCtx:
         self.spaces = spaces
         self.accepting = accepting
         snames, pnames = work.snames, work.pnames
-        # a new tuple per context: ``own`` tells contexts apart by it
+        # a new tuple per context: the operations tell contexts apart by it
         self.names = (*snames, *pnames, None)
         index = self.index = {q: j for j, q in enumerate(self.names)}
         self.ns = ns = len(snames)
@@ -217,14 +199,11 @@ class RecognizerCtx:
         self.bot = 1 << index[None]
         self.s_axioms = sum(1 << index[x] for x in work.axioms if index[x] < ns)
         self.p_axioms = sum(1 << index[x] for x in work.axioms if index[x] >= ns)
-        self.layers = []
-        for p in pnames:
-            space = spaces[p]
-            if type(space) is TermSpace:
-                vb = tuple(space.var_bits.get(s, 0) for s in snames)
-            else:
-                vb = None
-            self.layers.append((p, space, accepting[p], 1 << index[p], vb))
+        self.layers = [
+            (p, spaces[p], accepting[p], 1 << index[p],
+             tuple(spaces[p].var_bits.get(s, 0) for s in snames))
+            for p in pnames
+        ]
         steps = [[] for _ in self.names]
         for lhs, head, rem in serial_rules:
             steps[index[head]].append((index[lhs], 1 << index[rem]))
@@ -262,21 +241,6 @@ class RecognizerCtx:
         t.space = self.names
         t._fin = t._seq = None
         return t
-
-    def own(self, h: Profile) -> Profile:
-        """``h`` packed over this context: ``h`` itself when it already is,
-        else a copy, so that no view is kept on a profile another context
-        can see.  A parallel copy holds its terms in the representation
-        ``spaces`` asks for, so equal profiles hash equal."""
-        if h.space is self.names:
-            return h
-        if type(h) is SProfile:
-            return self.pack(h.pairs)
-        spaces = self.spaces
-        return self.pprofile(tuple(
-            (p, spaces[p].encode(t) if type(t) is TermNF and type(spaces[p]) is TermSpace else t)
-            for p, t in h.entries
-        ))
 
     # -- the views of profiles packed over this context -----------------------
 
@@ -328,15 +292,10 @@ class RecognizerCtx:
             done = list(_set_bits(self.done(h)))
             entries = []
             for p, space, _, _, vb in self.layers:
-                if vb is None:
-                    names = {self.names[i] for i in done}
-                    lin = LinearTerm.of(space.keys() & names)
-                    entries.append((p, linear_to_nf(lin, space)))
-                else:
-                    bits = 0
-                    for i in done:
-                        bits |= vb[i]
-                    entries.append((p, space.cls(bits)))
+                bits = 0
+                for i in done:
+                    bits |= vb[i]
+                entries.append((p, space.cls(bits)))
             v = h._par = self.pprofile(tuple(entries))
         return v
 
@@ -388,7 +347,7 @@ def build_ctx(g: Grammar) -> RecognizerCtx:
 
     table = _base_period(work)
     contexts = {p: table.context(p) for p in work.pnames}
-    spaces = {p: term_space(contexts[p]) or contexts[p] for p in work.pnames}
+    spaces = {p: term_space(contexts[p]) for p in work.pnames}
 
     accepting: dict = {p: set() for p in work.pnames}
     falls = defaultdict(set)  # s -> labels derivable in one step
@@ -406,7 +365,7 @@ def build_ctx(g: Grammar) -> RecognizerCtx:
             serial_rules.append((r.s, r.p, r.s1))
         elif isinstance(r, RuleD):
             serial_rules.append((r.s, r.p1, r.p2))
-    accepting = {p: _accept_mask(ms, spaces[p]) for p, ms in accepting.items()}
+    accepting = {p: spaces[p].encode(TermNF(frozenset(ms))) for p, ms in accepting.items()}
 
     pbridge = defaultdict(set)  # p -> labels p derives as a lone edge
     for r in work.rules:
@@ -424,12 +383,6 @@ def build_ctx(g: Grammar) -> RecognizerCtx:
     return RecognizerCtx(g, work, contexts, spaces, accepting, serial_rules, bridges)
 
 
-def _accept_mask(monos, space):
-    """What ``accepting[p] & t`` tests a term of ``space`` against."""
-    monos = frozenset(monos)
-    return space.encode(TermNF(monos)) if type(space) is TermSpace else monos
-
-
 def bridge_profile(a: str, ctx: RecognizerCtx) -> SProfile:
     try:
         return ctx.bridge_profiles[a]
@@ -442,11 +395,16 @@ def bridge_profile(a: str, ctx: RecognizerCtx) -> SProfile:
 # ---------------------------------------------------------------------------
 
 
+def _foreign(h: Profile) -> ValueError:
+    return ValueError(f"a {type(h).__name__} of another context")
+
+
 def par_map(h: Profile, ctx: RecognizerCtx) -> PProfile:
     """Read any profile as a parallel one: for each p, the reduced sum of p's
     variables that derive the graph completely (parallel profiles pass
     through unchanged)."""
-    h = ctx.own(h)
+    if h.space is not ctx.names:
+        raise _foreign(h)
     return ctx.par(h) if type(h) is SProfile else h
 
 
@@ -454,16 +412,16 @@ def seq_map(h: Profile, ctx: RecognizerCtx) -> frozenset:
     """Read any profile as a chain-step relation: (s, q) for each serial rule
     whose head p accepts the graph as a finished layer (serial profiles are
     already relations and pass through unchanged)."""
-    if isinstance(h, SProfile):
-        return h.pairs
-    return ctx.seq(ctx.own(h)).pairs
+    if h.space is not ctx.names:
+        raise _foreign(h)
+    return (h if type(h) is SProfile else ctx.seq(h)).pairs
 
 
 def op_parallel(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> PProfile:
     t1 = par_map(h1, ctx)
     t2 = par_map(h2, ctx)
     spaces = ctx.spaces
-    # a zero side (packed 0, or a TermNF without monomials) is the product
+    # a zero side (a term without monomials) is the product
     entries = tuple(
         (p, a if not a else b if not b else term_mul(a, b, spaces[p]))
         for (p, a), (_, b) in zip(t1.entries, t2.entries)
@@ -472,7 +430,10 @@ def op_parallel(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> PProfile:
 
 
 def op_serial(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> SProfile:
-    h1, h2 = ctx.own(h1), ctx.own(h2)
+    if h1.space is not ctx.names:
+        raise _foreign(h1)
+    if h2.space is not ctx.names:
+        raise _foreign(h2)
     r1 = h1 if type(h1) is SProfile else ctx.seq(h1)
     r2 = h2 if type(h2) is SProfile else ctx.seq(h2)
     heads = ctx.heads(r2)
@@ -550,7 +511,8 @@ def eval_graph(g: SPGraph, ctx: RecognizerCtx, stats: Optional[dict] = None) -> 
 
 
 def accepts(h: Profile, ctx: RecognizerCtx) -> bool:
-    h = ctx.own(h)
+    if h.space is not ctx.names:
+        raise _foreign(h)
     if type(h) is SProfile:
         return bool(ctx.done(h) & ctx.s_axioms)
     return bool(ctx.finished(h) & ctx.p_axioms)

@@ -18,9 +18,13 @@ space, which is what makes the recognizer algebra finite.
 Since the reduced monomials of a context form one finite box, a term is
 computed on as an ``int`` bitset over that box (``TermSpace``): bit ``i`` is
 the monomial whose mixed-radix digits spell ``i``, and multiplying by a
-variable is a masked shift.  ``Monomial`` and ``TermNF`` stay the printing
-and exchange format; a context whose box exceeds ``BOX_LIMIT`` keeps
-multiplying frozensets of monomials pairwise.
+variable is a masked shift.  A context whose box exceeds ``BOX_LIMIT`` keeps
+its terms as ``TermNF``s, multiplied pairwise (``FrozenSpace``).  Which of the
+two a context gets is decided here, by ``term_space``, and nowhere else: both
+spaces offer the members the recognizer reads (``one``, ``var_bits``,
+``cls``, ``mul``, ``linear``, ``encode``, ``decode``), and ``term_mul``,
+``linear_to_nf`` and ``nf_linear_product`` run on either.  ``Monomial`` and
+``TermNF`` stay the printing format.
 
 The cut-off results are exposed as ``weighted_card`` (how long a product of
 linear sums can stay "interesting") and ``cutoff_bound`` (the general bound
@@ -161,11 +165,9 @@ class TermNF:
     def __hash__(self):
         return hash(self.monomials)
 
-    def __and__(self, monos):
-        """The summands that are in the set ``monos``."""
-        return self.monomials & monos
-
-    __rand__ = __and__
+    def __and__(self, other: "TermNF"):
+        """The summands the two terms share."""
+        return self.monomials & other.monomials
 
     @staticmethod
     def of(monos: Iterable[Optional[Monomial]]) -> "TermNF":
@@ -355,7 +357,9 @@ class TermSpace:
             out |= t
         return self.cls(out)
 
-    def linear(self, lin: "LinearTerm") -> PackedTerm:
+    def linear(self, lin: "LinearTerm"):
+        """The term of a linear sum: the unit (bit 0) and the first powers
+        ``var_bits`` names, made a term by ``cls``."""
         bits = 1 if lin.one else 0
         for v in lin.vars:
             try:
@@ -388,39 +392,63 @@ class TermSpace:
         return TermNF(frozenset(self.monomial(i) for i in _set_bits(bits)))
 
 
+class FrozenSpace:
+    """The terms of a context whose box exceeds ``BOX_LIMIT``: ``TermNF``s,
+    whose size follows the monomials actually present, multiplied pairwise.
+    ``var_bits`` names the first powers by bits, as in a ``TermSpace``, and
+    ``cls`` reads such bits back as a term."""
+
+    def __init__(self, ctx: NfContext):
+        self.ctx = dict(ctx)
+        self.one = ONE
+        self._linear = [MONO_ONE]  # bit i -> its monomial
+        self.var_bits = {}
+        for v in sorted(ctx):
+            m = nf_monomial({v: 1}, ctx)  # the unit when the period is 1
+            if m == MONO_ONE:
+                self.var_bits[v] = 1
+            else:
+                self.var_bits[v] = 1 << len(self._linear)
+                self._linear.append(m)
+
+    linear = TermSpace.linear
+
+    def cls(self, bits: int) -> TermNF:
+        return TermNF(frozenset(self._linear[i] for i in _set_bits(bits)))
+
+    def mul(self, t1: TermNF, t2: TermNF) -> TermNF:
+        ctx = self.ctx
+        return TermNF.of(mono_mul(m1, m2, ctx) for m1 in t1.monomials for m2 in t2.monomials)
+
+    def encode(self, t: TermNF) -> TermNF:
+        return TermNF.of(nf_monomial(m, self.ctx) for m in t.monomials)
+
+    def decode(self, t: TermNF) -> TermNF:
+        return t
+
+
+_SPACES = (TermSpace, FrozenSpace)
+
+
 @lru_cache(maxsize=256)
-def _space(key: tuple) -> TermSpace:
-    return TermSpace(dict(key))
+def _space(key: tuple, frozen: bool) -> TermSpace | FrozenSpace:
+    return (FrozenSpace if frozen else TermSpace)(dict(key))
 
 
-def term_space(ctx: NfContext) -> Optional[TermSpace]:
-    """The (cached) space of a context, or ``None`` when its box is larger
-    than ``BOX_LIMIT``."""
+def term_space(ctx: NfContext) -> TermSpace | FrozenSpace:
+    """The (cached) space of a context: a ``TermSpace``, or a
+    ``FrozenSpace`` when its box is larger than ``BOX_LIMIT``."""
     key = tuple(sorted(ctx.items()))
-    if math.prod(_radix(cls) for _, cls in key) > BOX_LIMIT:
-        return None
-    return _space(key)
-
-
-def _pairwise_mul(t1: TermNF, t2: TermNF, ctx: NfContext) -> TermNF:
-    out = set()
-    for m1 in t1.monomials:
-        for m2 in t2.monomials:
-            m = mono_mul(m1, m2, ctx)
-            if m is not None:
-                out.add(m)
-    return TermNF(frozenset(out))
+    return _space(key, math.prod(_radix(cls) for _, cls in key) > BOX_LIMIT)
 
 
 def term_mul(t1, t2, ctx):
-    """Product of two terms.  Over a ``TermSpace`` the terms are packed and
-    so is the product; over a context mapping they are ``TermNF``s, packed
-    for the product unless the context's box is too large."""
-    if type(ctx) is TermSpace:
+    """Product of two terms.  Over a space the terms are that space's and so
+    is the product; over a context mapping they are ``TermNF``s, and so is
+    the product."""
+    if isinstance(ctx, _SPACES):
         return ctx.mul(t1, t2)
     space = term_space(ctx)
-    if space is None:
-        return _pairwise_mul(t1, t2, ctx)
     return space.decode(space.mul(space.encode(t1), space.encode(t2)))
 
 
@@ -441,25 +469,19 @@ class LinearTerm:
 
 
 def linear_to_nf(lin: LinearTerm, ctx):
-    """Normal form of a linear sum: packed over a ``TermSpace``, a ``TermNF``
-    over a context mapping."""
-    if type(ctx) is TermSpace:
+    """Normal form of a linear sum: a term of the space when ``ctx`` is
+    one, a ``TermNF`` over a context mapping."""
+    if isinstance(ctx, _SPACES):
         return ctx.linear(lin)
-    monos = [nf_monomial({v: 1}, ctx) for v in lin.vars]
-    if lin.one:
-        monos.append(MONO_ONE)
-    return TermNF.of(monos)
-
-
-def nf_linear_product(factors: Iterable[LinearTerm], ctx: NfContext) -> TermNF:
-    """Normal form of a product of linear sums (the workhorse of the
-    parallel-composition law).  An empty product is 1."""
     space = term_space(ctx)
-    if space is None:
-        acc = ONE
-        for lin in factors:
-            acc = _pairwise_mul(acc, linear_to_nf(lin, ctx), ctx)
-        return acc
+    return space.decode(space.linear(lin))
+
+
+def nf_linear_product(factors: Iterable[LinearTerm], ctx) -> TermNF:
+    """Normal form of a product of linear sums (the workhorse of the
+    parallel-composition law) over a context mapping or one of its spaces.
+    An empty product is 1."""
+    space = ctx if isinstance(ctx, _SPACES) else term_space(ctx)
     acc = space.one
     for lin in factors:
         acc = space.mul(acc, space.linear(lin))

@@ -32,7 +32,6 @@ from spr.oracle import (
     language_upto,
 )
 from spr.recognizer import (
-    PProfile,
     build_ctx,
     eval_graph,
     member,
@@ -187,15 +186,16 @@ def test_criterion_3_profiles_match_view_enumeration(capsys):
                     for p in cg.pnames:
                         assert entries[p] == enumerate_p_views(graph, cg, p)
                 else:
-                    assert h.pairs == enumerate_s_views(graph, cg).pairs
+                    assert h.pairs == enumerate_s_views(graph, cg)
                 assert member(graph, g, ctx) == (graph in lang)
 
 
-def _oracle_profile(graph, cg):
+def _oracle_profile(graph, ctx):
+    cg = ctx.grammar
     if isinstance(graph, PNode):
-        return PProfile(tuple(
-            (p, enumerate_p_views(graph, cg, p)) for p in cg.pnames))
-    return enumerate_s_views(graph, cg)
+        return ctx.pprofile(tuple(
+            (p, ctx.spaces[p].encode(enumerate_p_views(graph, cg, p))) for p in cg.pnames))
+    return ctx.pack(enumerate_s_views(graph, cg))
 
 
 def test_criterion_4_composition_is_homomorphic(capsys, univ, chain, even_bundle):
@@ -206,10 +206,10 @@ def test_criterion_4_composition_is_homomorphic(capsys, univ, chain, even_bundle
             cg = ctx.grammar
             parts = enumerate_graphs(cg.alphabet, 2)
             for g1, g2 in itertools.product(parts, repeat=2):
-                h1, h2 = _oracle_profile(g1, cg), _oracle_profile(g2, cg)
-                want = _oracle_profile(compose_serial(g1, g2), cg)
+                h1, h2 = _oracle_profile(g1, ctx), _oracle_profile(g2, ctx)
+                want = _oracle_profile(compose_serial(g1, g2), ctx)
                 assert op_serial(h1, h2, ctx).pairs == want.pairs
-                want = _oracle_profile(compose_parallel(g1, g2), cg)
+                want = _oracle_profile(compose_parallel(g1, g2), ctx)
                 assert op_parallel(h1, h2, ctx) == want
 
 

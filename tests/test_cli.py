@@ -20,7 +20,7 @@ from spr.grammar import (
     parse_grammar,
     validate_regular,
 )
-from spr.oracle import language_upto
+from spr.oracle import gen_worstcase, language_upto
 
 FREE_TEXT = """\
 alphabet: a
@@ -266,6 +266,17 @@ def test_gen_worstcase_emits_a_parsable_grammar(capsys):
     g = parse_grammar(capsys.readouterr().out)
     assert validate_regular(g).ok
     assert len(g.rules) == 113
+
+
+def test_gen_worstcase_weighs_its_rules_against_the_cap(capsys):
+    for k in range(2, 6):
+        assert len(gen_worstcase(k).rules) == 7 * 2 ** (k + 2) + 1
+    assert run(["--cap", "113", "gen-worstcase", "-k", "2"]) == 0
+    assert len(parse_grammar(capsys.readouterr().out).rules) == 113
+    assert run(["--cap", "112", "gen-worstcase", "-k", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: gen-worstcase -k 2 makes 113 rules, more than the cap of 112\n"
 
 
 def test_seed_flag_is_rejected(gfile, capsys):

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -209,3 +210,18 @@ def test_a_nine_digit_exponent_is_read_as_a_count(tmp_path, command, alt, code, 
     proc = run_limited([command, str(grammar)], timeout=20)
     assert (proc.returncode, proc.stderr) == (code, "")
     assert report in proc.stdout.splitlines()
+
+
+@needs_proc
+@pytest.mark.parametrize(
+    "k,rules", [("16", "1835009"), ("100000000", "7 * 2^100000002 + 1")], ids=["k16", "k1e8"])
+def test_gen_worstcase_past_the_cap_exits_2_before_building(k, rules):
+    # at the default cap of 1,000,000 rules; building the k = 100000000
+    # grammar would fill any memory, its word lists first
+    start = time.perf_counter()
+    proc = run_limited(["gen-worstcase", "-k", k], timeout=20)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: gen-worstcase -k {k} makes {rules} rules, more than the cap of 1000000\n")
+    assert elapsed < 1.0

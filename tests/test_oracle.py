@@ -71,11 +71,11 @@ def test_lang_from_respects_the_edge_budget(univ):
 
 
 def test_serial_views_of_a_bridge(chain):
-    assert set(enumerate_s_views(Bridge("a"), chain).pairs) == {("s", "p"), ("s", "s")}
+    assert set(enumerate_s_views(Bridge("a"), chain)) == {("s", "p"), ("s", "s")}
 
 
 def test_serial_views_of_a_chain(chain):
-    got = set(enumerate_s_views(parse_graph("a . a"), chain).pairs)
+    got = set(enumerate_s_views(parse_graph("a . a"), chain))
     # complete (None), or still waiting for one p / one s suffix
     assert got == {("s", None), ("s", "p"), ("s", "s")}
 

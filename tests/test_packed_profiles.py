@@ -11,7 +11,6 @@ from spr import termalg
 from spr.grammar import RuleC, RuleD, parse_grammar
 from spr.oracle import gen_random_grammar
 from spr.recognizer import (
-    EMPTY_SPROFILE,
     PProfile,
     SProfile,
     accepts,
@@ -35,13 +34,13 @@ class PairSets:
     ``TermNF``s over the context mappings."""
 
     def __init__(self, ctx):
+        self.ctx = ctx
         work = ctx.grammar
         self.pnames = work.pnames
         self.pset = frozenset(work.pnames)
         self.contexts = ctx.contexts
         self.accepting = {
-            p: sp.decode(ctx.accepting[p]).monomials if type(sp) is TermSpace else ctx.accepting[p]
-            for p, sp in ctx.spaces.items()
+            p: sp.decode(ctx.accepting[p]).monomials for p, sp in ctx.spaces.items()
         }
         self.serial_rules = [
             (r.s, r.p, r.s1) if isinstance(r, RuleC) else (r.s, r.p1, r.p2)
@@ -101,10 +100,13 @@ class PairSets:
     def saturate(self, bridges) -> set:
         """The closure of ``bridges`` under both laws, as (kind, str) keys."""
 
+        ctx = self.ctx
+
         def make(value, serial):
             if serial:
-                return SProfile(value)
-            return PProfile(tuple((p, TermNF(value[p])) for p in self.pnames))
+                return ctx.pack(value)
+            return ctx.pprofile(tuple(
+                (p, ctx.spaces[p].encode(TermNF(value[p]))) for p in self.pnames))
 
         profiles = {key(h): h for h in bridges}
         frontier = list(profiles.values())
@@ -144,10 +146,7 @@ def test_packed_profiles_agree_with_pair_sets(seed):
     ctx = build_ctx(gen_random_grammar(seed))
     ref = PairSets(ctx)
     profiles = sample_profiles(ctx)
-    # exchange-form copies, as the view oracles build them, and the shared
-    # empty profile: packed where they enter, never given this context's views
-    profiles += [SProfile(h.pairs) for h in profiles if isinstance(h, SProfile)][:5]
-    profiles.append(EMPTY_SPROFILE)
+    profiles.append(ctx.make(()))  # the empty profile
     for h in profiles:
         assert terms(par_map(h, ctx)) == ref.par_map(h)
         assert seq_map(h, ctx) == ref.seq_map(h)
@@ -157,7 +156,7 @@ def test_packed_profiles_agree_with_pair_sets(seed):
         assert terms(op_parallel(h1, h2, ctx)) == ref.op_parallel(h1, h2)
     # a profile packed anew is the same value, hashing the same
     for h in profiles:
-        if isinstance(h, SProfile) and h.space is not None:
+        if isinstance(h, SProfile):
             again = ctx.pack(h.pairs)
             assert again == h and hash(again) == hash(h) and again.rows == h.rows
 
@@ -168,19 +167,36 @@ def test_full_saturations_match_the_pair_set_closure(name, request):
     ref = PairSets(ctx)
     full = reachable_profiles(ctx)
     assert full.saturated
-    want = ref.saturate([SProfile(h.pairs) for h in ctx.bridge_profiles.values()])
+    want = ref.saturate(list(ctx.bridge_profiles.values()))
     assert sorted(key(h) for h in full.profiles) == sorted(want)
 
 
-def test_views_stay_with_their_context(chain, univ):
-    # one exchange-form profile in two contexts: each packs its own copy
-    for ctx in (build_ctx(chain), build_ctx(univ), build_ctx(chain)):
+def test_profiles_of_another_context_are_rejected(chain, univ):
+    # a profile keeps the views of its own context only; an equal grammar
+    # built twice is two contexts
+    contexts = [build_ctx(chain), build_ctx(univ), build_ctx(chain)]
+    for ctx in contexts:
         ref = PairSets(ctx)
+        empty = ctx.make(())
         for b in ctx.bridge_profiles.values():
-            for h1, h2 in ((EMPTY_SPROFILE, b), (b, EMPTY_SPROFILE), (b, b)):
+            for h1, h2 in ((empty, b), (b, empty), (b, b)):
                 assert op_serial(h1, h2, ctx).pairs == ref.op_serial(h1, h2)
-        assert not accepts(EMPTY_SPROFILE, ctx)
-    assert EMPTY_SPROFILE.space is None and EMPTY_SPROFILE.rows is None
+        assert not accepts(empty, ctx)
+    for ctx, other in itertools.permutations(contexts, 2):
+        ours = ctx.bridge_profiles["a"]
+        for h in (other.bridge_profiles["a"], other.make(()),
+                  par_map(other.bridge_profiles["a"], other)):
+            for call in (
+                lambda: par_map(h, ctx),
+                lambda: seq_map(h, ctx),
+                lambda: op_serial(h, ours, ctx),
+                lambda: op_serial(ours, h, ctx),
+                lambda: op_parallel(h, ours, ctx),
+                lambda: op_parallel(ours, h, ctx),
+                lambda: accepts(h, ctx),
+            ):
+                with pytest.raises(ValueError, match="of another context"):
+                    call()
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +208,7 @@ def _below(h, rng, ctx):
     """A random profile contained in ``h``: a subset of its pairs, or of the
     monomials of each of its terms."""
     if isinstance(h, SProfile):
-        return SProfile(p for p in h.pairs if rng.random() < 0.5)
+        return ctx.pack(p for p in h.pairs if rng.random() < 0.5)
     entries = []
     for p, t in h.entries:
         space = ctx.spaces[p]
@@ -200,7 +216,7 @@ def _below(h, rng, ctx):
             entries.append((p, space.cls(t & rng.getrandbits(max(t.bit_length(), 1)))))
         else:
             entries.append((p, TermNF(frozenset(m for m in t.monomials if rng.random() < 0.5))))
-    return PProfile(tuple(entries))
+    return ctx.pprofile(tuple(entries))
 
 
 def _contained(h, h2) -> bool:

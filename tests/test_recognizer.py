@@ -23,7 +23,6 @@ from spr.oracle import (
     language_upto,
 )
 from spr.recognizer import (
-    EMPTY_SPROFILE,
     PProfile,
     SProfile,
     accepts,
@@ -203,7 +202,7 @@ def test_serial_profile_value(univ):
 
 def test_profile_json_shapes(univ):
     ctx = build_ctx(univ)
-    assert profile_to_json(EMPTY_SPROFILE) == []
+    assert profile_to_json(ctx.make(())) == []
     as_json = profile_to_json(eval_graph(parse_graph("a || b"), ctx))
     assert set(as_json) == {"p"}
     assert isinstance(as_json["p"], str)
@@ -218,7 +217,7 @@ def test_accepts_universal(univ):
     ctx = build_ctx(univ)
     for t in ("a", "a || a", "a . a", "(a || b) . c".replace("c", "a")):
         assert accepts(eval_graph(parse_graph(t), ctx), ctx)
-    assert not accepts(EMPTY_SPROFILE, ctx)
+    assert not accepts(ctx.make(()), ctx)
 
 
 def test_accepts_needs_an_axiom(chain):
@@ -319,7 +318,7 @@ def test_eval_matches_view_oracles(chain, bundle):
                 for p in cg.pnames:
                     assert entries[p] == enumerate_p_views(graph, cg, p)
             else:
-                assert h.pairs == enumerate_s_views(graph, cg).pairs
+                assert h.pairs == enumerate_s_views(graph, cg)
 
 
 def test_member_matches_language_enumeration(
@@ -526,6 +525,33 @@ def test_frozenset_terms_give_the_same_profiles(name, request, monkeypatch):
     assert {_profile_key(h) for h in full.profiles} == {
         _profile_key(h) for h in full_loose.profiles
     }
+
+
+# p's box is 3000 * 3 * 3 * 3 = 81,000 monomials, past BOX_LIMIT
+WIDE_TEXT = """\
+alphabet: a b
+pnonterminals: p
+snonterminals: s t u v
+axioms: p
+rules:
+p -> p || s^3000
+p -> t^2 || u^2 || v^2
+s -> a
+t -> b
+u -> b
+v -> b
+"""
+
+
+def test_membership_past_the_box_limit():
+    g = parse_grammar(WIDE_TEXT)
+    ctx = build_ctx(g)
+    assert termalg.BOX_LIMIT < 81_000
+    assert isinstance(ctx.spaces["p"], termalg.FrozenSpace)
+    cases = [(3000, 6, True), (3001, 6, False), (6000, 6, True), (0, 6, True), (3000, 5, False)]
+    for a_edges, b_edges, want in cases:
+        graph = parse_graph(" || ".join(["a"] * a_edges + ["b"] * b_edges))
+        assert member(graph, g, ctx) == want
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,12 @@ from spr.termalg import (
     ONE,
     ZERO,
     Bounded,
+    FrozenSpace,
     LinearTerm,
     Monomial,
     Periodic,
     TermNF,
+    TermSpace,
     Threshold,
     cutoff_bound,
     expand_product,
@@ -214,7 +216,11 @@ def test_nf_linear_product_matches_brute_force():
             )
             for _ in range(n)
         ]
-        assert nf_linear_product(factors, CTX) == expand_product(factors, CTX)
+        want = expand_product(factors, CTX)
+        assert nf_linear_product(factors, CTX) == want
+        # s5 is a threshold variable
+        for space in spaces_of(CTX):
+            assert nf_linear_product(factors, space) == want
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +362,22 @@ def pairwise_reference(t1, t2, ctx):
     return TermNF.of(mono_mul(m1, m2, ctx) for m1 in t1 for m2 in t2)
 
 
+def spaces_of(ctx):
+    """The two spaces of a context that fits the box: the packed one
+    ``term_space`` picks, and the frozenset one it picks past ``BOX_LIMIT``."""
+    packed = term_space(ctx)
+    assert isinstance(packed, TermSpace)
+    return packed, FrozenSpace(ctx)
+
+
 @given(st.data())
 def test_packed_linear_product_matches_expansion(data):
     ctx = data.draw(contexts)
     factors = data.draw(st.lists(linears_in(ctx), max_size=5))
-    assert term_space(ctx) is not None
-    assert nf_linear_product(factors, ctx) == expand_product(factors, ctx)
+    want = expand_product(factors, ctx)
+    assert nf_linear_product(factors, ctx) == want
+    for space in spaces_of(ctx):
+        assert nf_linear_product(factors, space) == want
 
 
 @given(st.data())
@@ -370,46 +386,52 @@ def test_packed_term_mul_matches_pairwise_products(data):
     t1, t2 = data.draw(terms_in(ctx)), data.draw(terms_in(ctx))
     want = pairwise_reference(t1, t2, ctx)
     assert term_mul(t1, t2, ctx) == want
-    space = term_space(ctx)
-    packed = term_mul(space.encode(t1), space.encode(t2), space)
-    assert packed == space.encode(want)
-    assert packed == want and len(packed) == len(want)
-    assert str(packed) == str(want)
+    for space in spaces_of(ctx):
+        product = term_mul(space.encode(t1), space.encode(t2), space)
+        assert product == space.encode(want)
+        assert product == want and len(product) == len(want)
+        assert str(product) == str(want)
 
 
 @given(st.data())
 def test_encode_decode_round_trip(data):
     ctx = data.draw(contexts)
-    space = term_space(ctx)
     t = data.draw(terms_in(ctx))
-    assert space.decode(space.encode(t)) == t
-    bits = data.draw(st.integers(0, (1 << space.size) - 1))
-    assert space.encode(space.decode(bits)) == bits
-    for m in space.decode(bits):
-        assert nf_monomial(m, ctx) == m
+    packed, frozen = spaces_of(ctx)
+    raw = st.dictionaries(st.sampled_from(sorted(ctx)), st.integers(0, 5)).map(Monomial.of)
+    stored = [
+        (packed, data.draw(st.integers(0, (1 << packed.size) - 1))),
+        # any monomials, reduced where they are stored
+        (frozen, frozen.encode(TermNF(data.draw(st.frozensets(raw, max_size=6))))),
+    ]
+    for space, bits in stored:
+        assert space.decode(space.encode(t)) == t
+        assert space.encode(space.decode(bits)) == bits
+        for m in space.decode(bits):
+            assert nf_monomial(m, ctx) == m
 
 
 def test_packed_terms_read_like_normal_forms():
-    space = term_space(CTX)
-    t = space.linear(LinearTerm.of(["s1", "s4"], one=True))
-    assert str(t) == f"{t}" == "1 + s1 + s4"
-    assert len(t) == 3 and t.monomials == {MONO_ONE, mono(s1=1), mono(s4=1)}
-    # s3 has period 1: s3 is the unit
-    assert space.linear(LinearTerm.of(["s3"])) == space.one == ONE
-    assert term_mul(t, space.encode(ZERO), space) == ZERO
+    for space in spaces_of(CTX):
+        t = space.linear(LinearTerm.of(["s1", "s4"], one=True))
+        assert str(t) == f"{t}" == "1 + s1 + s4"
+        assert len(t) == 3 and t.monomials == {MONO_ONE, mono(s1=1), mono(s4=1)}
+        # s3 has period 1: s3 is the unit
+        assert space.linear(LinearTerm.of(["s3"])) == space.one == ONE
+        assert term_mul(t, space.encode(ZERO), space) == ZERO
 
 
 def test_large_boxes_keep_frozenset_terms(monkeypatch):
     monkeypatch.setattr(termalg, "BOX_LIMIT", 10)
-    assert term_space({"s": Bounded(10)}) is not None
+    assert isinstance(term_space({"s": Bounded(10)}), TermSpace)
     ctx = {"s": Bounded(11)}
-    assert term_space(ctx) is None
+    assert isinstance(term_space(ctx), FrozenSpace)
     t = nf_linear_product([LinearTerm.of(["s"], one=True)] * 3, ctx)
     assert t == expand_product([LinearTerm.of(["s"], one=True)] * 3, ctx)
     assert term_mul(t, t, ctx) == pairwise_reference(t, t, ctx)
     # a box of 2^80 monomials: nothing of its size is ever allocated
     wide = {f"s{i:02}": Bounded(2) for i in range(80)}
-    assert term_space(wide) is None
+    assert isinstance(term_space(wide), FrozenSpace)
     lin = LinearTerm.of(["s00", "s79"], one=True)
     t = nf_linear_product([lin, lin], wide)
     assert t == expand_product([lin, lin], wide) and len(t) == 4
