@@ -35,10 +35,12 @@ Exponents ``s^2`` abbreviate repeated parallel factors and are only accepted
 where the A/B/Alt shapes can absorb them.
 
 ``parse_grammar`` reads a rule body in one pass: the term reader hands over
-its flat layers (``spgraph.SerialLayer``/``ParallelLayer`` of names) with
-each ``s^k`` kept as the pair ``(s, k)``, and the regular shapes are read
+its term, whose ``Serial``/``Parallel`` layers hold all their parts, with
+each ``s^k`` kept as the pair ``(leaf, k)``, and the regular shapes are read
 off those layers, so an exponent stays a count and costs its digits, not
-its value.  Only a free-form body is folded into a ``Term``.
+its value.  Only a free-form body (where an exponent is an error) is kept
+as a ``Term``.  ``rule_rhs_term`` gives an A- or B-rule body back as one
+parallel layer, in which ``s^k`` is k parts sharing one ``Ref``.
 """
 
 from __future__ import annotations
@@ -52,14 +54,11 @@ from .spgraph import (
     NAME_RE,
     Atom,
     Parallel,
-    ParallelLayer,
     ParseError,
     Ref,
     Serial,
-    SerialLayer,
     Term,
     _TermParser,
-    fold_layers,
     fold_term,
     format_term,
 )
@@ -318,18 +317,15 @@ def _body_names(r: Rule) -> tuple[str, ...]:
 
 
 def rule_rhs_term(r: Rule) -> Term:
-    """The rule body as a term over labels and nonterminal references."""
-    if isinstance(r, RuleA):
-        t: Term = Ref(r.p)
-        for _ in range(r.ell):
-            t = Parallel(t, Ref(r.s))
-        return t
-    if isinstance(r, RuleB):
-        t = None
-        for v, e in r.body:
-            for _ in range(e):
-                t = Ref(v) if t is None else Parallel(t, Ref(v))
-        return t
+    """The rule body as a term over labels and nonterminal references; an
+    A- or B-rule body is one parallel layer, ``s^k`` its k parts that share
+    one ``Ref``."""
+    if isinstance(r, (RuleA, RuleB)):
+        body = ((r.p, 1), (r.s, r.ell)) if isinstance(r, RuleA) else r.body
+        parts: list = []
+        for v, e in body:
+            parts += [Ref(v)] * e
+        return parts[0] if len(parts) == 1 else Parallel(*parts)
     if isinstance(r, RuleC):
         return Serial(Ref(r.p), Ref(r.s1))
     if isinstance(r, RuleD):
@@ -605,6 +601,7 @@ def parse_grammar(text: str) -> Grammar:
     kinds = {n: "P" for n in header["pnonterminals"]}
     kinds.update({n: "S" for n in header["snonterminals"]})
     rules = []
+    leaves: dict = {}  # each name's leaf, made once for all rule bodies
     for lineno in range(i, len(lines)):
         raw = _strip(lines[lineno])
         if not raw:
@@ -616,15 +613,15 @@ def parse_grammar(text: str) -> Grammar:
         if lhs not in kinds:
             raise ParseError(f"undeclared rule head {lhs!r}", lineno + 1, 1)
         try:
-            parser = _TermParser(rhs_text, names=kinds)
-            body = parser.read()
+            parser = _TermParser(rhs_text, names=kinds, leaves=leaves)
+            body = parser.parse(counts=True)
             rule = _shape(lhs, kinds, body)
             if parser.exponent_at is not None and not isinstance(rule, (RuleA, RuleB, RuleAlt)):
                 msg = "exponents are only valid on S-nonterminals in parallel rule bodies"
                 parser.error(msg, parser.exponent_at)
         except ParseError as e:  # e.col counts from the text after '->'
             raise ParseError(e.msg, lineno + 1, e.col + lines[lineno].index("->") + 2) from None
-        rules.append(rule or RuleFree(lhs, fold_layers(body, kinds)))
+        rules.append(rule or RuleFree(lhs, body))
     return Grammar(
         header["alphabet"],
         header["pnonterminals"],
@@ -652,50 +649,44 @@ def _flat(layer) -> tuple:
 
 
 def _shape(lhs: str, kinds: dict, body):
-    """The regular rule ``lhs -> body`` for a body given as the reader's
-    layers (see ``_TermParser.read``), or ``None`` when the body is free-form.
+    """The regular rule ``lhs -> body`` for a body read with its exponents
+    counted (see ``_TermParser.parse``), or ``None`` when the body is
+    free-form.
 
-    A P-head's body is a parallel layer, flattened across parentheses, of
-    names and exponent pairs, counted per name: all S-names make an ``Alt``
-    (one copy) or ``B`` rule, the head once beside one S-name an ``A`` rule,
-    and one label an ``E`` rule.  An S-head's body is one label (``F``) or
-    a serial layer of two nonterminals, ``P . S`` (``C``) or ``P . P``
-    (``D``)."""
+    A label alone makes an ``E`` or ``F`` rule.  Any other P-head body is a
+    parallel layer, flattened across parentheses, of nonterminals and
+    exponent pairs, counted per name: all S-names make an ``Alt`` (one copy)
+    or ``B`` rule, the head once beside one S-name an ``A`` rule.  Any other
+    S-head body is a serial layer of two nonterminals, ``P . S`` (``C``) or
+    ``P . P`` (``D``)."""
     kind = type(body)
+    if kind is Atom:
+        return (RuleF if kinds[lhs] == "S" else RuleE)(lhs, body.label)
     if kinds[lhs] == "S":
-        if kind is str:
-            return None if body in kinds else RuleF(lhs, body)
-        if kind is not SerialLayer:
+        if kind is not Serial:
             return None
         parts = _flat(body)
         if len(parts) != 2:
             return None
         p, s = parts
-        if type(p) is not str or type(s) is not str or kinds.get(p) != "P":
+        if type(p) is not Ref or type(s) is not Ref or kinds[p.name] != "P":
             return None
-        second = kinds.get(s)
-        if second == "S":
-            return RuleC(lhs, p, s)
-        return RuleD(lhs, p, s) if second == "P" else None
-    counts: dict = {}  # copies per name
-    for x in _flat(body) if kind is ParallelLayer else (body,):
-        if type(x) is str:
-            counts[x] = counts.get(x, 0) + 1
-        elif type(x) is tuple:
-            counts[x[0]] = counts.get(x[0], 0) + x[1]
-        else:
+        return (RuleC if kinds[s.name] == "S" else RuleD)(lhs, p.name, s.name)
+    counts: dict = {}  # copies per nonterminal
+    for x in _flat(body) if kind is Parallel else (body,):
+        k = 1
+        if type(x) is tuple:
+            x, k = x
+        if type(x) is not Ref:
             return None
-    svars = [(n, c) for n, c in counts.items() if kinds.get(n) == "S"]
+        counts[x.name] = counts.get(x.name, 0) + k
+    svars = [(n, c) for n, c in counts.items() if kinds[n] == "S"]
     if len(svars) == len(counts):
         if len(svars) == 1 and svars[0][1] == 1:
             return RuleAlt(lhs, svars[0][0])
         return RuleB(lhs, tuple(sorted(svars)))
     if len(svars) == 1 and len(counts) == 2 and counts.get(lhs) == 1:
         return RuleA(lhs, *svars[0])
-    if len(counts) == 1:
-        (a, c), = counts.items()
-        if c == 1 and a not in kinds:
-            return RuleE(lhs, a)
     return None
 
 

@@ -92,7 +92,8 @@ from .termalg import (
 class SProfile:
     """A serial profile: ``rows`` packed over the remainder index ``space``
     (see the module docstring), made by ``RecognizerCtx.make``.  Two
-    profiles are equal when their pairs are."""
+    profiles are equal when they belong to one context and their rows are
+    equal."""
 
     __slots__ = ("rows", "space", "_pairs", "_left", "_heads", "_par")
 
@@ -105,10 +106,7 @@ class SProfile:
     def __eq__(self, other):
         if type(other) is not SProfile:
             return NotImplemented
-        a, b = self.space, other.space
-        if a is b or a == b:
-            return self.rows == other.rows
-        return self.pairs == other.pairs
+        return self.space is other.space and self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
@@ -126,14 +124,15 @@ class PProfile:
     """A parallel profile: ``entries`` is ``((p, term), ...)`` in grammar
     P-order, each term of p's space (see ``RecognizerCtx.spaces``), made by
     ``RecognizerCtx.pprofile``; ``space`` is the remainder index of its
-    context."""
+    context.  Two profiles are equal when they belong to one context and
+    their entries are equal."""
 
     __slots__ = ("entries", "space", "_fin", "_seq")
 
     def __eq__(self, other):
         if type(other) is not PProfile:
             return NotImplemented
-        return self.entries == other.entries
+        return self.space is other.space and self.entries == other.entries
 
     def __hash__(self):
         return hash(self.entries)

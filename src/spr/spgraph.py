@@ -19,28 +19,31 @@ canonical key string carried by every node; equality and hashing go through
 that key, which keeps deep graphs free of recursive ``__eq__`` calls.
 
 Terms (the textual syntax ``a.(b||c)``) are also a free AST, which grammar
-rule right-hand sides use with nonterminal leaves.  One reader serves both.
-It reads the bare words of one ``re.findall`` over the text and works out
-a line and column only for an error, by tokenizing the text then.  It
-collects each layer's parts and hands them, when the layer closes, to a
-builder of the layer's kind.  For a term or a rule body the builders keep
-the parts as a ``SerialLayer``/``ParallelLayer`` (an exponent ``s^k``
-stays the pair ``(s, k)``), which the grammar reader classifies as they
-are and ``fold_layers`` folds left into ``Serial``/``Parallel``; for graph
-text (``parse_graph``) they build the canonical node at once, so no term
-is made.  ``canonicalize`` turns a term into its graph the same way, also
-decision witnesses with the graphs of their nonterminal leaves.  Both
-build every node of a graph once, from all the parts of its flattened
-layer, so n edges cost time linear in n plus the length of the keys (and
-one sort per parallel layer), however ``.`` and ``||`` associate; ``compose_serial``/``compose_parallel`` copy
-their operands' children and suit composing a few graphs, not building one.
+rule right-hand sides use with nonterminal leaves: ``Atom`` and ``Ref``
+leaves, and ``Serial``/``Parallel`` layers of two or more parts.  A layer
+denotes its left fold: ``Serial(a, b, c)`` equals ``Serial(Serial(a, b), c)``,
+and ``fold_term`` makes the calls of that binary chain.  One reader serves
+terms and graphs.  It reads the bare words of one ``re.findall`` over the
+text and works out a line and column only for an error, by tokenizing the
+text then.  It collects each layer's parts and hands them, when the layer
+closes, to a builder of the layer's kind: for a term or a rule body a
+``Serial``/``Parallel`` layer (a rule body's exponent ``s^k`` may stay the
+pair ``(leaf, k)`` for the grammar reader to count); for graph text
+(``parse_graph``) the canonical node at once, so no term is made.
+``canonicalize`` turns a term into its graph the same way, also decision
+witnesses with the graphs of their nonterminal leaves.  Both build every
+node of a graph once, from all the parts of its flattened layer, so n edges
+cost time linear in n plus the length of the keys (and one sort per
+parallel layer), however ``.`` and ``||`` associate;
+``compose_serial``/``compose_parallel`` copy their operands' children and
+suit composing a few graphs, not building one.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial
 from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
@@ -79,10 +82,23 @@ class Ref:
     name: str
 
 
-class _Node:
-    """What ``Serial`` and ``Parallel`` share: hashing and equality read the
-    term's postfix form, built by ``fold_term``, so a long chain never
-    recurses (as the dataclass defaults would)."""
+class _Node(tuple):
+    """What ``Serial`` and ``Parallel`` share: the parts of one layer, two
+    or more, left to right.  A layer denotes its left fold, so
+    ``Serial(a, b, c)`` is ``Serial(Serial(a, b), c)`` (and not
+    ``Serial(a, Serial(b, c))``).  Hashing and equality read the term's
+    postfix form, built by ``fold_term``, which makes the two equal and
+    keeps a long chain from recursing (as tuple's own compare would)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *parts):
+        if len(parts) < 2:
+            raise ValueError(f"{cls.__name__} needs at least two parts")
+        return tuple.__new__(cls, parts)
+
+    def __getnewargs__(self):  # copy and pickle call ``cls(*parts)``
+        return tuple(self)
 
     def _postfix(self) -> list:
         out: list = []
@@ -101,45 +117,59 @@ class _Node:
     def __eq__(self, other):
         return isinstance(other, _Node) and self._postfix() == other._postfix()
 
+    def __ne__(self, other):
+        return not self.__eq__(other)
 
-@dataclass(frozen=True, eq=False)
+    def __repr__(self):
+        return type(self).__name__ + tuple.__repr__(self)
+
+
 class Serial(_Node):
-    left: "Term"
-    right: "Term"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Parallel(_Node):
-    left: "Term"
-    right: "Term"
+    __slots__ = ()
 
 
 Term = Union[Atom, Ref, Serial, Parallel]
 
 
+def _visits(node: _Node, op) -> list:
+    """What ``fold_term`` stacks for a layer: its parts last to first, each
+    but the first below the callback ``op`` that folds it in."""
+    out = [op] * (2 * len(node) - 1)
+    out[1::2] = node[:0:-1]
+    out[-1] = node[0]
+    return out
+
+
 def fold_term(t: Term, atom, ref, ser, par):
     """Fold a term bottom-up: ``Atom`` leaves become ``atom(label)``, ``Ref``
-    leaves ``ref(name)``, and nodes ``ser(left, right)`` or
-    ``par(left, right)`` of their folded sides.
+    leaves ``ref(name)``, and a layer of parts ``x0, x1, ..., xn`` the left
+    fold ``ser(... ser(ser(y0, y1), y2) ..., yn)`` (or ``par``) of its
+    folded parts ``yi`` -- the calls a left-nested binary chain makes.
 
     Iterative post-order, so arbitrarily deep terms do not hit the Python
     recursion limit; leaves are met left to right.  The stack holds terms
-    still to visit and, below a node's two sides, the callback that combines
-    them once both are folded.
+    still to visit and, after each of a layer's parts but the first, the
+    callback that combines the fold so far with that part.  Rule bodies,
+    the terms folded most often, are mostly nonterminal leaves in binary
+    layers, so those are tested for first.
     """
     out: list = []
     stack: list = [t]
     while stack:
         node = stack.pop()
         kind = type(node)
-        if kind is Atom:
-            out.append(atom(node.label))
-        elif kind is Serial:
-            stack += (ser, node.right, node.left)
-        elif kind is Parallel:
-            stack += (par, node.right, node.left)
-        elif kind is Ref:
+        if kind is Ref:
             out.append(ref(node.name))
+        elif kind is Serial:
+            stack += (ser, node[1], node[0]) if len(node) == 2 else _visits(node, ser)
+        elif kind is Atom:
+            out.append(atom(node.label))
+        elif kind is Parallel:
+            stack += (par, node[1], node[0]) if len(node) == 2 else _visits(node, par)
         else:
             b = out.pop()
             out[-1] = node(out[-1], b)
@@ -356,60 +386,19 @@ def _words(text: str) -> list[str]:
     return _WORD_RE.findall(text)
 
 
-class SerialLayer(tuple):
-    """The parts of one serial layer of a term's text, left to right, as
-    the reader collects them: each a leaf's name, an exponent's pair
-    ``(name, k)``, or a ``ParallelLayer`` -- or a ``SerialLayer``, where a
-    parenthesised serial group is a part of a serial layer."""
-
-    __slots__ = ()
-
-
-class ParallelLayer(tuple):
-    """The parts of one parallel layer of a term's text, left to right; the
-    mirror image of ``SerialLayer``."""
-
-    __slots__ = ()
-
-
 def _layer(node):
     """The builder of ``node``'s layers: one ``node`` of all the parts."""
     return lambda parts: parts[0] if len(parts) == 1 else node(tuple(parts))
 
 
-# (label leaf, serial layer, parallel layer)
-_LAYER_BUILDERS = (str, _layer(SerialLayer), _layer(ParallelLayer))
+# (label leaf, serial layer, parallel layer); a term layer is made by
+# tuple's constructor, as ``_layer`` has already seen two or more parts
+_TERM_BUILDERS = (
+    Atom,
+    _layer(partial(tuple.__new__, Serial)),
+    _layer(partial(tuple.__new__, Parallel)),
+)
 _GRAPH_BUILDERS = (Bridge, _layer(SNode), _layer(PNode))
-
-
-def fold_layers(body, names=()) -> Term:
-    """The term of ``body``, the layers ``_TermParser.read`` gives: each
-    layer folds left, as ``a . b . c`` reads ``Serial(Serial(a, b), c)``,
-    a leaf named in ``names`` is a ``Ref`` and any other an ``Atom``, and
-    ``s^k`` is k parallel copies of ``s``.
-
-    Iterative post-order, so deep nesting does not hit the recursion limit:
-    below a layer's parts the stack holds a list ``[node, n]`` that folds
-    the last n terms once they are built."""
-    out: list = []
-    stack: list = [body]
-    while stack:
-        x = stack.pop()
-        kind = type(x)
-        if kind is str:
-            out.append(Ref(x) if x in names else Atom(x))
-        elif kind is tuple:
-            leaf = Ref(x[0]) if x[0] in names else Atom(x[0])
-            out.append(reduce(Parallel, [leaf] * x[1]))
-        elif kind is list:
-            node, n = x
-            parts = out[-n:]
-            del out[-n:]
-            out.append(reduce(node, parts))
-        else:
-            stack.append([Serial if kind is SerialLayer else Parallel, len(x)])
-            stack += reversed(x)
-    return out[0]
 
 
 class _TermParser:
@@ -422,10 +411,12 @@ class _TermParser:
     for ground graph terms.
 
     Each layer is built once, when it closes, by the builder of its kind from
-    all its parts; a one-part layer is its part.  ``read()`` gives the
-    layers as ``SerialLayer``/``ParallelLayer`` tuples of names, with
-    ``x^k`` the pair ``(x, k)``, so an exponent costs its digits, not its
-    value; ``parse()`` folds them into a free ``Term``.
+    all its parts; a one-part layer is its part.  ``parse()`` gives a term
+    of ``Serial``/``Parallel`` layers with ``Atom``/``Ref`` leaves, each
+    name's leaf made once per parser (or once per grammar, where the rule
+    bodies share ``leaves``), and ``x^k`` the layer of k copies of ``x``'s
+    leaf; ``parse(counts=True)`` keeps it as the pair ``(leaf, k)``, so an
+    exponent costs its digits, not its value.
     ``parse(graph=True)`` builds the canonical graph directly.  There a
     parenthesised layer that is an operand of a layer of its own kind is
     not built at all: its parts stay where they are and join the enclosing
@@ -441,8 +432,9 @@ class _TermParser:
     parser rejects wherever it stands.
     """
 
-    def __init__(self, source, names=None):
-        """``source`` is the text to read, or its ``tokenize`` triples."""
+    def __init__(self, source, names=None, leaves=None):
+        """``source`` is the text to read, or its ``tokenize`` triples;
+        ``leaves`` maps each name read so far to its leaf."""
         if isinstance(source, str):
             self.text = source
             self.words = _words(source)
@@ -450,6 +442,7 @@ class _TermParser:
             self.toks = source
             self.words = [tok for tok, _, _ in source]
         self.names = names
+        self.leaves = {} if leaves is None else leaves
         self.exponent_at = None  # the token index of the first '^' read
 
     @cached_property
@@ -467,16 +460,12 @@ class _TermParser:
             ln, col = 1, 1
         raise ParseError(msg, ln, col)
 
-    def parse(self, graph: bool = False):
-        """The term the tokens spell or, with ``graph``, its canonical graph."""
-        return self.read(True) if graph else fold_layers(self.read(), self.names or ())
-
-    def read(self, graph: bool = False):
-        """The layers the tokens spell or, with ``graph``, their canonical
-        graph."""
-        atom, ser, par = _GRAPH_BUILDERS if graph else _LAYER_BUILDERS
+    def parse(self, graph: bool = False, counts: bool = False):
+        """The term the tokens spell or, with ``graph``, its canonical
+        graph; with ``counts``, each exponent stays the pair ``(leaf, k)``."""
+        atom, ser, par = _GRAPH_BUILDERS if graph else _TERM_BUILDERS
+        leaves = self.leaves
         words = [*self.words, None]  # None: the end of input
-        leaves: dict = {}  # each name read so far, as its leaf
         # the serial parts of every open factor and the parallel parts of
         # every open group, innermost last; the innermost group's current
         # factor is sers[s0:] and its parallel parts pars[p0:]
@@ -498,7 +487,8 @@ class _TermParser:
             i += 1
             tok = words[i]
             if tok == "^":
-                t = (t, self.exponent(i))
+                k = self.exponent(i)
+                t = (t, k) if counts else t if k == 1 else par([t] * k)
                 i += 2
                 tok = words[i]
             sers.append(t)
@@ -531,13 +521,13 @@ class _TermParser:
 
     def leaf(self, tok, i, atom):
         """The leaf for the name ``tok`` at token ``i``: a nonterminal's
-        name as it is, a label as ``atom(tok)``."""
+        ``Ref``, a label's ``atom(tok)``."""
         if tok is None:
             self.error("unexpected end of input", i)
         if not NAME_RE.match(tok):
             self.error(f"expected a name, got {tok!r}", i)
         if self.names is not None and tok in self.names:
-            return tok
+            return Ref(tok)
         if not LABEL_RE.match(tok):
             self.error(f"unknown name {tok!r}", i)
         return atom(tok)
@@ -602,21 +592,29 @@ def format_graph(g: SPGraph) -> str:
     return out[g.key]
 
 
+# A term's text is the pair (text, its top operator or None for a leaf).
+# ``fold_term`` calls ``_text_ser``/``_text_par`` with the fold of a layer so
+# far on the left, so only a right operand can be a group of the layer's own
+# kind, which then keeps its parentheses.
+
+
 def _text_leaf(name: str):
-    return name, False
+    return name, None
 
 
 def _text_ser(a, b):
-    sides = ("(" + text + ")" if is_par else text for text, is_par in (a, b))
-    return " . ".join(sides), False
+    left = "(" + a[0] + ")" if a[1] == "||" else a[0]
+    right = b[0] if b[1] is None else "(" + b[0] + ")"
+    return left + " . " + right, "."
 
 
 def _text_par(a, b):
-    return a[0] + " || " + b[0], True
+    return a[0] + " || " + ("(" + b[0] + ")" if b[1] == "||" else b[0]), "||"
 
 
 def format_term(t: Term) -> str:
-    """Render a free term; used for grammar rule bodies."""
+    """Render a free term; used for grammar rule bodies.  The text reads
+    back as an equal term."""
     return fold_term(t, _text_leaf, _text_leaf, _text_ser, _text_par)[0]
 
 

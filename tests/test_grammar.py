@@ -271,6 +271,25 @@ def test_rule_rhs_term_shapes():
     assert format_term(rule_rhs_term(RuleAlt("p", "s"))) == "s"
 
 
+def test_rule_rhs_term_builds_one_parallel_layer():
+    t = rule_rhs_term(RuleA("p", "s", 10**6))
+    assert type(t) is Parallel and len(t) == 10**6 + 1
+    assert t[0] == Ref("p") and t[1] is t[-1] == Ref("s")
+    # equal to the left-nested chain of pairwise parallel nodes
+    p, s, u = Ref("p"), Ref("s"), Ref("u")
+    for k in range(1, 6):
+        chain = p
+        for _ in range(k):
+            chain = Parallel(chain, s)
+        t = rule_rhs_term(RuleA("p", "s", k))
+        assert t == chain and hash(t) == hash(chain)
+        chain = u
+        for x in [u] * (k - 1) + [s, s]:
+            chain = Parallel(chain, x)
+        t = rule_rhs_term(RuleB("p", (("u", k), ("s", 2))))
+        assert len(t) == k + 2 and t == chain and hash(t) == hash(chain)
+
+
 # ---------------------------------------------------------------------------
 # text format round-trips
 # ---------------------------------------------------------------------------
@@ -279,6 +298,18 @@ def test_rule_rhs_term_shapes():
 @pytest.mark.parametrize("text", [UNIV_TEXT, CHAIN_TEXT, EVEN_BUNDLE_TEXT])
 def test_format_parse_round_trip(text):
     g = parse_grammar(text)
+    assert parse_grammar(format_grammar(g)) == g
+
+
+def test_format_keeps_groups_that_are_not_a_layers_first_part():
+    text = (
+        "alphabet: a b c\npnonterminals: x\nsnonterminals: s\naxioms: x\nrules:\n"
+        "x -> a . (b . c)\nx -> a || (b || c)\nx -> (a || b) || c\n"
+    )
+    g = parse_grammar(text)
+    assert [format_rule(r) for r in g.rules] == [
+        "x -> a . (b . c)", "x -> a || (b || c)", "x -> a || b || c"
+    ]
     assert parse_grammar(format_grammar(g)) == g
 
 
@@ -476,8 +507,7 @@ def _flatten(t, cls):
     while stack:
         node = stack.pop()
         if isinstance(node, cls):
-            stack.append(node.right)
-            stack.append(node.left)
+            stack += reversed(node)
         else:
             out.append(node)
     return out

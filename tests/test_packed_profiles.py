@@ -199,6 +199,24 @@ def test_profiles_of_another_context_are_rejected(chain, univ):
                     call()
 
 
+def test_profiles_compare_only_within_their_context():
+    # {(s, ⊥)} packed over ('s', 'p', None), over a second build of the same
+    # grammar, and over ('s', 't', 'p', None): equal pairs, three contexts
+    text = "alphabet: a\npnonterminals: p\nsnonterminals: {}\naxioms: p\nrules:\np -> s || s\ns -> a\n"
+    one, again = build_ctx(parse_grammar(text.format("s"))), build_ctx(parse_grammar(text.format("s")))
+    wide = build_ctx(parse_grammar(text.format("s t")))
+    assert one.names == again.names == ("s", "p", None)
+    assert wide.names == ("s", "t", "p", None)
+    x, y, z = (ctx.pack([("s", None)]) for ctx in (one, again, wide))
+    px, py, pz = (op_parallel(h, h, ctx) for h, ctx in ((x, one), (y, again), (z, wide)))
+    for h, same in ((x, one.pack([("s", None)])), (px, op_parallel(x, x, one))):
+        assert h == same and hash(h) == hash(same)
+    assert x.pairs == y.pairs == z.pairs
+    assert x != y and x != z and y != z
+    assert px != py and px != pz and py != pz
+    assert len({x, y, z, px, py, pz}) == 6
+
+
 # ---------------------------------------------------------------------------
 # monotonicity: h below h' gives compositions below
 # ---------------------------------------------------------------------------

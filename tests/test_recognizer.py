@@ -517,7 +517,7 @@ def test_frozenset_terms_give_the_same_profiles(name, request, monkeypatch):
     assert all(isinstance(sp, TermSpace) for sp in packed.spaces.values())
     for graph in enumerate_graphs(g.alphabet, 4):
         h, h_loose = eval_graph(graph, packed), eval_graph(graph, loose)
-        assert h == h_loose
+        assert _profile_key(h) == _profile_key(h_loose)
         assert profile_to_json(h) == profile_to_json(h_loose)
         assert accepts(h, packed) == accepts(h_loose, loose)
     full, full_loose = reachable_profiles(packed), reachable_profiles(loose)
@@ -699,6 +699,6 @@ def test_eval_graph_keeps_nothing_between_calls(univ, chain):
         h = eval_graph(b, ctx, after_a)
         fresh_ctx = build_ctx(g)
         want = eval_graph(b, fresh_ctx, fresh)
-        assert h == want and hash(h) == hash(want)
+        assert _profile_key(h) == _profile_key(want) and hash(h) == hash(want)
         assert accepts(h, ctx) == accepts(want, fresh_ctx)
         assert after_a == fresh and fresh["compositions"] > 0

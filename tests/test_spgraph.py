@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import re
 
@@ -140,20 +141,22 @@ def all_terms(leaves):
 
 
 def rewrites(t):
-    """All terms one reassociation/commutation step away from ``t``."""
+    """All terms one reassociation/commutation step away from the binary
+    term ``t``."""
     if isinstance(t, Atom):
         return
     cls = type(t)
-    if isinstance(t.left, cls):
-        yield cls(t.left.left, cls(t.left.right, t.right))
-    if isinstance(t.right, cls):
-        yield cls(cls(t.left, t.right.left), t.right.right)
+    left, right = t
+    if isinstance(left, cls):
+        yield cls(left[0], cls(left[1], right))
+    if isinstance(right, cls):
+        yield cls(cls(left, right[0]), right[1])
     if cls is Parallel:
-        yield Parallel(t.right, t.left)
-    for sub in rewrites(t.left):
-        yield cls(sub, t.right)
-    for sub in rewrites(t.right):
-        yield cls(t.left, sub)
+        yield Parallel(right, left)
+    for sub in rewrites(left):
+        yield cls(sub, right)
+    for sub in rewrites(right):
+        yield cls(left, sub)
 
 
 def test_canonicalize_constant_on_rewrite_classes():
@@ -440,3 +443,66 @@ def test_long_terms_hash_compare_and_print():
     assert t != chain(Serial, Ref("a"))
     assert t != chain(Parallel, Atom("a"))
     assert format_term(chain(Parallel, Ref("p"))).endswith("a || a || p")
+
+
+# ---------------------------------------------------------------------------
+# layers of any width denote their left fold
+# ---------------------------------------------------------------------------
+
+
+def left_nested(t):
+    """``t`` with each layer rebuilt as its left-nested binary chain."""
+    if isinstance(t, (Atom, Ref)):
+        return t
+    parts = [left_nested(x) for x in t]
+    out = parts[0]
+    for x in parts[1:]:
+        out = type(t)(out, x)
+    return out
+
+
+nary_terms = st.recursive(
+    st.sampled_from([Atom("a"), Atom("b"), Ref("p"), Ref("q")]),
+    lambda children: st.builds(
+        lambda node, parts: node(*parts),
+        st.sampled_from([Serial, Parallel]),
+        st.lists(children, min_size=2, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@given(nary_terms)
+def test_a_layer_equals_its_left_fold(t):
+    binary = left_nested(t)
+    assert t == binary and not t != binary and hash(t) == hash(binary)
+    bound = {"p": Bridge("c"), "q": parse_graph("a || c")}
+    assert canonicalize(t, bound.__getitem__) == canonicalize(binary, bound.__getitem__)
+    text = format_term(t)
+    assert text == format_term(binary)
+    assert _TermParser(text, names={"p": "P", "q": "S"}).parse() == t
+
+
+def test_layers_compare_as_their_left_fold_only():
+    a, b, c = map(Atom, "abc")
+    assert Serial(a, b, c) == Serial(Serial(a, b), c)
+    assert hash(Serial(a, b, c)) == hash(Serial(Serial(a, b), c))
+    assert Serial(a, b, c) != Serial(a, Serial(b, c))
+    assert Serial(a, b, c) != Parallel(a, b, c)
+    assert Serial(a, b) != (a, b) and (a, b) != Serial(a, b)
+    assert repr(Parallel(a, Ref("p"))) == "Parallel(Atom(label='a'), Ref(name='p'))"
+    t = Parallel(Serial(a, b, c), c)
+    assert pickle.loads(pickle.dumps(t)) == t
+    for node in (Serial, Parallel):
+        with pytest.raises(ValueError, match="at least two parts"):
+            node(a)
+
+
+def test_format_term_keeps_a_group_that_is_not_a_layers_first_part():
+    a, b, c = map(Atom, "abc")
+    assert format_term(Serial(a, Serial(b, c))) == "a . (b . c)"
+    assert format_term(Serial(Serial(a, b), c)) == "a . b . c"
+    assert format_term(Parallel(a, Parallel(b, c))) == "a || (b || c)"
+    assert format_term(Parallel(Parallel(a, b), c)) == "a || b || c"
+    assert format_term(Serial(Parallel(a, b), Parallel(b, c))) == "(a || b) . (b || c)"
+    assert format_term(Parallel(Serial(a, b), Serial(b, c))) == "a . b || b . c"
