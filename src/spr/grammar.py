@@ -59,6 +59,7 @@ from .spgraph import (
     Serial,
     Term,
     _TermParser,
+    _flat,
     fold_term,
     format_term,
 )
@@ -629,23 +630,6 @@ def parse_grammar(text: str) -> Grammar:
         header["axioms"],
         tuple(rules),
     )
-
-
-def _flat(layer) -> tuple:
-    """The parts of ``layer``, each nested layer of its own kind (a
-    parenthesised group) replaced by its parts."""
-    kind = type(layer)
-    if kind not in map(type, layer):
-        return layer
-    out = []
-    stack = [layer]
-    while stack:
-        x = stack.pop()
-        if type(x) is kind:
-            stack += reversed(x)
-        else:
-            out.append(x)
-    return tuple(out)
 
 
 def _shape(lhs: str, kinds: dict, body):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .grammar import (
     Grammar,
@@ -36,7 +36,7 @@ from .grammar import (
     compute_base_period,
     rule_rhs_term,
 )
-from .spgraph import Bridge, PNode, SNode, SPGraph, fold_term
+from .spgraph import Bridge, PNode, SNode, SPGraph, fold_flat
 from .termalg import LinearTerm, TermNF, nf_linear_product
 
 INF = float("inf")
@@ -83,12 +83,13 @@ def _par(children, layers):
 
 
 def _to_pterm(t, layers):
-    return fold_term(
+    """The partial term of ``t``: each of its flattened layers made once."""
+    return fold_flat(
         t,
         lambda label: layers.setdefault(("lit", label), ("lit", label)),
         lambda name: layers.setdefault(("ref", name), ("ref", name)),
-        lambda a, b: _ser([a, b], layers),
-        lambda a, b: _par([a, b], layers),
+        partial(_ser, layers=layers),
+        partial(_par, layers=layers),
     )
 
 

@@ -22,7 +22,8 @@ Terms (the textual syntax ``a.(b||c)``) are also a free AST, which grammar
 rule right-hand sides use with nonterminal leaves: ``Atom`` and ``Ref``
 leaves, and ``Serial``/``Parallel`` layers of two or more parts.  A layer
 denotes its left fold: ``Serial(a, b, c)`` equals ``Serial(Serial(a, b), c)``,
-and ``fold_term`` makes the calls of that binary chain.  One reader serves
+which ``fold_term`` folds exactly; ``fold_flat`` folds associatively, a
+layer and its nested layers of its own kind in one call.  One reader serves
 terms and graphs.  It reads the bare words of one ``re.findall`` over the
 text and works out a line and column only for an error, by tokenizing the
 text then.  It collects each layer's parts and hands them, when the layer
@@ -176,6 +177,50 @@ def fold_term(t: Term, atom, ref, ser, par):
     return out[0]
 
 
+def _flat(layer) -> tuple:
+    """The parts of ``layer``, each nested layer of its own kind (a
+    parenthesised group) replaced by its parts."""
+    kind = type(layer)
+    if kind not in map(type, layer):
+        return layer
+    out = []
+    stack = [layer]
+    while stack:
+        x = stack.pop()
+        if type(x) is kind:
+            stack += reversed(x)
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def fold_flat(t: Term, atom, ref, ser, par):
+    """Fold a term where grouping does not matter: leaves as in
+    ``fold_term``, and each layer, flattened as by ``_flat``, one call
+    ``ser(parts)`` or ``par(parts)`` with the list of its folded parts.
+    Iterative; the stack holds (callback, start of the parts in ``out``)."""
+    out: list = []
+    stack: list = [t]
+    kinds: list = [None]  # the kind of each open layer, innermost last
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Ref:
+            out.append(ref(node.name))
+        elif kind is Atom:
+            out.append(atom(node.label))
+        elif kind is tuple:
+            op, i = node
+            out[i:] = [op(out[i:])]
+            kinds.pop()
+        else:
+            if kind is not kinds[-1]:  # not a group inside a layer of its kind
+                stack.append((ser if kind is Serial else par, len(out)))
+                kinds.append(kind)
+            stack += node[::-1]
+    return out[0]
+
+
 # ---------------------------------------------------------------------------
 # Canonical graphs
 # ---------------------------------------------------------------------------
@@ -259,20 +304,26 @@ _SERIAL_PARTS = frozenset((Bridge, PNode))
 _PARALLEL_PARTS = frozenset((Bridge, SNode))
 
 
+def _join(node, parts) -> SPGraph:
+    """One ``node`` of ``parts``, each part of the node's kind spliced in."""
+    out: list = []
+    for x in parts:
+        out += x.children if type(x) is node else (x,)
+    return node(tuple(out))
+
+
+_join_serial = partial(_join, SNode)
+_join_parallel = partial(_join, PNode)
+
+
 def compose_serial(a: SPGraph, b: SPGraph) -> SPGraph:
     """Serial composition; flattens nested serial layers."""
-    parts = (a.children if isinstance(a, SNode) else (a,)) + (
-        b.children if isinstance(b, SNode) else (b,)
-    )
-    return SNode(parts)
+    return _join_serial((a, b))
 
 
 def compose_parallel(a: SPGraph, b: SPGraph) -> SPGraph:
     """Parallel composition; flattens nested parallel layers and re-sorts."""
-    parts = (a.children if isinstance(a, PNode) else (a,)) + (
-        b.children if isinstance(b, PNode) else (b,)
-    )
-    return PNode(parts)
+    return _join_parallel((a, b))
 
 
 def edge_count(g: SPGraph) -> int:
@@ -288,54 +339,13 @@ def _not_ground(name: str):
     raise ValueError(f"term is not ground: nonterminal {name!r}")
 
 
-# An open layer of ``canonicalize`` is a tuple ``(SNode, a, b)`` or
-# ``(PNode, a, b)``: a composition whose node is not built yet.  Each operand
-# is a closed graph or an open layer of the same kind, so the layer's parts
-# are the closed leaves of that binary tree, left to right.
-
-
-def _close(x) -> SPGraph:
-    """The node of an open layer, built once from all its parts (a ``ref``
-    graph of its kind spliced in); a closed graph is returned as it is."""
-    if type(x) is not tuple:
-        return x
-    parts = []
-    stack = [x[2], x[1]]
-    while stack:
-        y = stack.pop()
-        if type(y) is tuple:
-            stack += (y[2], y[1])
-        elif type(y) is x[0]:
-            parts += y.children
-        else:
-            parts.append(y)
-    return x[0](tuple(parts))
-
-
-def _open(kind):
-    def compose(a, b):
-        if type(a) is tuple and a[0] is not kind:
-            a = _close(a)
-        if type(b) is tuple and b[0] is not kind:
-            b = _close(b)
-        return kind, a, b
-
-    return compose
-
-
-_open_serial = _open(SNode)
-_open_parallel = _open(PNode)
-
-
 def canonicalize(t: Term, ref=_not_ground) -> SPGraph:
     """Turn a term into its canonical decomposition tree, each nonterminal
     leaf, left to right, into the graph ``ref(name)`` (by default rejected).
 
-    Each serial or parallel layer of the term stays open while the fold
-    meets operands of its own kind and is closed into one node when it
-    becomes an operand of the other kind (or is the root), so every node is
-    built once and the work is linear in the term plus the keys (and the
-    children of spliced ``ref`` graphs)."""
+    Each flattened layer (``fold_flat``) is one ``_join``, so every node is
+    built once; the work is linear in the term, the keys and the children
+    of spliced ``ref`` graphs."""
     bridges: dict[str, Bridge] = {}
 
     def bridge(label):
@@ -344,7 +354,7 @@ def canonicalize(t: Term, ref=_not_ground) -> SPGraph:
             b = bridges[label] = Bridge(label)
         return b
 
-    return _close(fold_term(t, bridge, ref, _open_serial, _open_parallel))
+    return fold_flat(t, bridge, ref, _join_serial, _join_parallel)
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +549,16 @@ class _TermParser:
         if i + 1 >= len(self.words):
             self.error("unexpected end of input", i + 1)
         count = self.words[i + 1]
-        # a foreign digit such as '\u0663' is a word of its own, not a count
-        if not (count.isascii() and count.isdigit()) or int(count) < 1:
+        # a foreign digit such as '\u0663' (a word of its own) or zeros alone are no count
+        if not (count.isascii() and count.isdigit()) or not count.strip("0"):
             self.error("exponent must be a positive integer", i + 1)
+        try:
+            k = int(count)
+        except ValueError:  # more digits than the interpreter converts
+            self.error(f"exponent has too many digits ({len(count)})", i + 1)
         if self.exponent_at is None:
             self.exponent_at = i
-        return int(count)
+        return k
 
 
 def _read_text(text: str, graph: bool):

@@ -65,12 +65,15 @@ def reference_random_graph(rng, n_edges, labels):
 # terms of every association
 # ---------------------------------------------------------------------------
 
-ASSOCIATIONS = ("left", "right", "balanced")
+ASSOCIATIONS = ("left", "right", "balanced", "flat")
 
 
 def associate(parts, how, node):
-    """``parts`` joined by the binary ``node``, nested as ``how`` says;
-    iterative, so long lists make deep terms without recursing."""
+    """``parts`` joined by the binary ``node``, nested as ``how`` says, or
+    for ``"flat"`` one layer of them all; iterative, so long lists make deep
+    terms without recursing."""
+    if how == "flat":
+        return node(*parts)
     if how == "left":
         return reduce(node, parts)
     if how == "right":

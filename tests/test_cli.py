@@ -319,6 +319,11 @@ def test_bad_grammar_exits_2(gfile, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_an_exponent_past_the_digit_limit_exits_2_at_its_position(gfile, capsys):
+    assert run(["check", gfile(GA_TEXT + "p -> p || s^" + "9" * 5000 + "\n")]) == 2
+    assert capsys.readouterr().err.startswith("error: 7:13: exponent has too many digits")
+
+
 def test_bad_term_exits_2(gfile, capsys):
     assert run(["member", "-g", gfile(GA_TEXT), "-t", "a . ("]) == 2
     assert "error:" in capsys.readouterr().err

@@ -183,6 +183,16 @@ def test_parse_errors_point_at_the_offending_token(read, text, message, line, co
     assert (str(exc.value), exc.value.line, exc.value.col) == (f"{line}:{col}: {message}", line, col)
 
 
+@pytest.mark.parametrize("count", ["9" * 5000, "0" * 4999 + "7"], ids=["nines", "leading-zeros"])
+def test_an_exponent_past_the_digit_limit_is_a_positioned_error(count):
+    # Python converts at most 4300 digits to an int by default
+    with pytest.raises(ParseError) as exc:
+        parse_grammar(_HEAD + "p -> p || s^" + count + "\n")
+    assert (exc.value.msg, exc.value.line, exc.value.col) == (
+        "exponent has too many digits (5000)", 7, 13
+    )
+
+
 def test_comments_and_blank_lines_are_ignored(univ):
     text = UNIV_TEXT.replace("rules:", "\n# body follows\nrules:\n")
     text += "# trailing comment\n\n"

@@ -1,12 +1,22 @@
 import pytest
+from hypothesis import given, settings
 
 import conftest
 from spr.decision import emptiness_witness, is_empty
-from spr.grammar import is_normalized, normalize, parse_grammar, rule_rhs_term, validate_regular
+from spr.grammar import (
+    RuleA,
+    is_normalized,
+    normalize,
+    parse_grammar,
+    rule_rhs_term,
+    validate_regular,
+)
 from spr.oracle import (
     INF,
     _lower_bound,
     _min_edges,
+    _par,
+    _ser,
     _to_pterm,
     enumerate_p_views,
     enumerate_s_views,
@@ -16,7 +26,8 @@ from spr.oracle import (
     language_upto,
 )
 from spr.recognizer import member
-from spr.spgraph import Bridge, enumerate_graphs, format_graph, parse_graph
+from spr.spgraph import Bridge, enumerate_graphs, fold_term, format_graph, parse_graph
+from test_canonicalize import open_terms
 from test_cli_robustness import deep_chain
 
 # ---------------------------------------------------------------------------
@@ -95,6 +106,40 @@ def test_parallel_views_count_component_assignments(bundle):
 def test_parallel_views_reject_non_parallel_graphs(bundle):
     with pytest.raises(ValueError, match="parallel views"):
         enumerate_p_views(Bridge("a"), normalize(bundle), "p")
+
+
+# ---------------------------------------------------------------------------
+# the term reader
+# ---------------------------------------------------------------------------
+
+
+def reference_to_pterm(t, layers):
+    """``_to_pterm`` as it folded each layer pairwise, one partial term per
+    prefix of the layer."""
+    return fold_term(
+        t,
+        lambda label: layers.setdefault(("lit", label), ("lit", label)),
+        lambda name: layers.setdefault(("ref", name), ("ref", name)),
+        lambda a, b: _ser([a, b], layers),
+        lambda a, b: _par([a, b], layers),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(open_terms)
+def test_the_term_reader_agrees_with_the_pairwise_fold(t):
+    assert _to_pterm(t, {}) == reference_to_pterm(t, {})
+    # with one table the two readers share their hash-consed terms
+    layers: dict = {}
+    assert _to_pterm(t, layers) is reference_to_pterm(t, layers)
+
+
+def test_the_term_reader_builds_each_layer_once():
+    layers: dict = {}
+    pt = _to_pterm(rule_rhs_term(RuleA("p", "s", 2000)), layers)
+    assert pt == ("par", (("ref", "p"),) + (("ref", "s"),) * 2000)
+    # the two leaves and the one layer, not a layer per prefix
+    assert sorted(key[0] for key in layers) == ["par", "ref", "ref"]
 
 
 # ---------------------------------------------------------------------------

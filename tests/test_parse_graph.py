@@ -123,7 +123,7 @@ def parenthesized(t) -> str:
     )
 
 
-@pytest.mark.parametrize("how", ASSOCIATIONS + ("flat",))
+@pytest.mark.parametrize("how", ASSOCIATIONS)
 @pytest.mark.parametrize("shape", ["chain", "bundle", "nest"])
 def test_every_node_is_built_once(shape, how, monkeypatch):
     node = Serial if shape == "chain" else Parallel
