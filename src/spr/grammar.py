@@ -45,6 +45,7 @@ parallel layer, in which ``s^k`` is k parts sharing one ``Ref``.
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from typing import Union
@@ -325,6 +326,9 @@ def rule_rhs_term(r: Rule) -> Term:
         body = ((r.p, 1), (r.s, r.ell)) if isinstance(r, RuleA) else r.body
         parts: list = []
         for v, e in body:
+            if e > sys.maxsize:
+                raise GrammarError(
+                    f"rule {format_rule(r)!r}: {v} has more copies than a term can hold")
             parts += [Ref(v)] * e
         return parts[0] if len(parts) == 1 else Parallel(*parts)
     if isinstance(r, RuleC):
@@ -617,9 +621,19 @@ def parse_grammar(text: str) -> Grammar:
             parser = _TermParser(rhs_text, names=kinds, leaves=leaves)
             body = parser.parse(counts=True)
             rule = _shape(lhs, kinds, body)
-            if parser.exponent_at is not None and not isinstance(rule, (RuleA, RuleB, RuleAlt)):
-                msg = "exponents are only valid on S-nonterminals in parallel rule bodies"
-                parser.error(msg, parser.exponent_at)
+            if parser.exponent_at is not None:
+                if not isinstance(rule, (RuleA, RuleB, RuleAlt)):
+                    msg = "exponents are only valid on S-nonterminals in parallel rule bodies"
+                    parser.error(msg, parser.exponent_at)
+                # each count was read, but a name's counts sum (``_shape``)
+                counts = getattr(rule, "body", ())
+                if isinstance(rule, RuleA):
+                    counts = ((rule.s, rule.ell),)
+                for v, e in counts:
+                    try:
+                        str(e)
+                    except ValueError:  # more digits than the interpreter prints
+                        parser.error(f"exponents of {v} sum to a count with too many digits", 0)
         except ParseError as e:  # e.col counts from the text after '->'
             raise ParseError(e.msg, lineno + 1, e.col + lines[lineno].index("->") + 2) from None
         rules.append(rule or RuleFree(lhs, body))

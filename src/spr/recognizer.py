@@ -30,8 +30,21 @@ P-remainders), its rows indexed by S-name (on the right) and its
 it as a finished layer, as remainder bits) and its ``seq_map``.
 ``op_serial`` is then composition of relations: every row of the left
 profile ORs the right profile's rows that its S-remainders name, and gains
-⊥ when one of its P-remainders is in the right profile's finished mask.  The rows named by first S-remainders are
-fetched in one C-level gather; Python steps in only for the other rows.
+⊥ when one of its P-remainders is in the right profile's finished mask
+(``RecognizerCtx.row`` states this law for one row).  The rows named by
+first S-remainders are fetched in one C-level gather; Python steps in only
+for the other rows.
+
+A right operand that is a layer atom (a bridge or a parallel profile) meets
+few distinct left rows, so the callers that compose with atoms do it through
+a *row table* of the atom (``RecognizerCtx.row_table``): a dict from a
+packed left row to its composed row, filled on a miss by the same row law.
+Composing is then one lookup per left row (``RecognizerCtx.compose``), and
+the left profile needs no left view.  The choice is by operand shape:
+``reachable_profiles`` and ``eval_graph`` compose every serial pair with an
+atom on the right and keep one table per atom for one call, while
+``op_serial`` with its left view serves composite right operands (the
+values of ``decision._lightest``), which a table would not repay.
 Profiles exist only packed over a context, made by its ``make``,
 ``from_dense``, ``pack`` and ``pprofile``; the operations reject a profile
 of another context with a ``ValueError``.
@@ -40,15 +53,18 @@ The recognizer's algebra is finite, so a large graph goes through few
 distinct profiles.  ``eval_graph`` therefore interns every profile it meets
 in a table of its own call, so equal profiles are one object that keeps its
 views, and keeps a serial and a parallel composition table keyed by the ids
-of two interned operands: each distinct pair is composed once per call.  The
-tables die with the call, and a context that kept them would only grow.
+of two interned operands: each distinct pair is composed once per call.  A
+serial layer's parts are bridges or parallel graphs, so a serial miss
+composes through the row table of its right operand, one per interned
+operand.  The tables die with the call, and a context that kept them would
+only grow.
 ``reachable_profiles`` enumerates the algebra from its generators.  Both
 laws are associative and ``op_parallel`` commutes, so every profile of a
 graph is a product of layer atoms: a worklist in the order profiles turn up
 composes each profile on the right with every *serial atom* (a bridge or
-parallel profile), and each distinct ``par_map`` image with every *parallel
-atom* (the image of a bridge or serial profile), each pair once.  That is
-n times the number of atoms compositions, not n².
+parallel profile, through its row table), and each distinct ``par_map``
+image with every *parallel atom* (the image of a bridge or serial profile),
+each pair once.  That is n times the number of atoms compositions, not n².
 
 Everything is computed on a normalized, alternative-form working copy of the
 grammar (built once per ``RecognizerCtx``); languages are unchanged by that
@@ -322,6 +338,49 @@ class RecognizerCtx:
             v = t._seq = self.from_dense(rows)
         return v
 
+    # -- composition with a serial atom through its row table -----------------
+
+    def row(self, r: int, heads: list, fin: int) -> int:
+        """The law of ``op_serial`` on one left row ``r``: the right rows
+        ``heads`` that its S-remainders name, ORed, with ⊥ when one of its
+        P-remainders is in the right operand's finished mask ``fin``."""
+        out = self.bot if r & fin else 0
+        s = r & self.s_bits
+        while s:
+            low = s & -s
+            out |= heads[low.bit_length() - 1]
+            s ^= low
+        return out
+
+    def row_table(self, h: Profile) -> RowTable:
+        """An empty row table of ``h`` as the right operand of ``op_serial``."""
+        t = RowTable()
+        t.ctx = self
+        t.heads = self.heads(h if type(h) is SProfile else self.seq(h))
+        t.fin = self.finished(self.par(h) if type(h) is SProfile else h)
+        return t
+
+    def compose(self, h: Profile, table: RowTable) -> SProfile:
+        """``op_serial`` of ``h`` and the right operand of ``table``: each row
+        of ``h`` looked up in the table."""
+        rows = (h if type(h) is SProfile else self.seq(h)).rows
+        out = list(map(table.__getitem__, rows[1::2]))
+        return self.make(tuple(chain.from_iterable(compress(zip(rows[0::2], out), out))))
+
+
+class RowTable(dict):
+    """A right operand of ``op_serial`` as a table from a packed left row to
+    the row it composes to, filled on a miss by ``RecognizerCtx.row``.
+    Layer atoms (bridge and parallel profiles) meet few distinct left rows,
+    so the callers that compose with atoms keep one table per atom for one
+    call (see the module docstring)."""
+
+    __slots__ = ("ctx", "heads", "fin")
+
+    def __missing__(self, r):
+        v = self[r] = self.ctx.row(r, self.heads, self.fin)
+        return v
+
 
 def build_ctx(g: Grammar) -> RecognizerCtx:
     if any(isinstance(r, RuleAlt) for r in g.rules):
@@ -465,13 +524,23 @@ def eval_graph(g: SPGraph, ctx: RecognizerCtx, stats: Optional[dict] = None) -> 
     Every profile the call meets goes through one intern table, so equal
     profiles are one object (which keeps its views), and a serial and a
     parallel table map the ids of two interned operands to their interned
-    composition.  All three tables live for this call only.  ``stats``
-    receives the effort: ``compositions`` (``op_serial``/``op_parallel``
-    calls made), ``table_hits`` and ``profiles`` (distinct profiles)."""
+    composition; a serial miss looks each left row up in the row table of
+    its right operand, a bridge or parallel profile, one table per interned
+    operand.  All four tables live for this call only.  ``stats`` receives
+    the effort: ``compositions`` (serial and parallel compositions made),
+    ``table_hits`` and ``profiles`` (distinct profiles)."""
     memo: dict[str, Profile] = {}
     canon: dict = {}  # profile -> the one equal profile this call uses
     serial: dict = {}  # (id, id) of interned operands -> interned result
     parallel: dict = {}
+    rows: dict = {}  # id of an interned serial right operand -> its row table
+
+    def by_table(h1, h2, ctx):
+        t = rows.get(id(h2))
+        if t is None:
+            t = rows[id(h2)] = ctx.row_table(h2)
+        return ctx.compose(h1, t)
+
     steps = 0  # compositions asked for
     stack = [g]
     while stack:
@@ -488,7 +557,7 @@ def eval_graph(g: SPGraph, ctx: RecognizerCtx, stats: Optional[dict] = None) -> 
             stack.extend(pending)
             continue
         if type(node) is SNode:
-            table, op = serial, op_serial
+            table, op = serial, by_table
         else:
             table, op = parallel, op_parallel
         children = iter(node.children)
@@ -504,7 +573,7 @@ def eval_graph(g: SPGraph, ctx: RecognizerCtx, stats: Optional[dict] = None) -> 
         steps += len(node.children) - 1
         memo[node.key] = acc
     if stats is not None:
-        made = len(serial) + len(parallel)  # one entry per call made
+        made = len(serial) + len(parallel)  # one entry per composition made
         stats.update(compositions=made, table_hits=steps - made, profiles=len(canon))
     return memo[g.key]
 
@@ -576,9 +645,11 @@ def reachable_profiles(
     ``entries``.  ``stats`` receives the effort as ``eval_graph`` reports
     it: ``compositions``, ``table_hits`` (profiles taken whose ``par_map``
     image an earlier profile had, so their parallel products are already
-    made) and ``profiles``.  Only bridges are serial right operands, so a
-    serial profile that is none drops its ``par_map`` view once the image is
-    taken: nothing reads it again.
+    made) and ``profiles``.  Each serial atom is composed through a row
+    table made when it is taken, so no profile builds a left view; only
+    bridges are serial right operands, so a serial profile that is none
+    drops its ``par_map`` view once the image is taken: nothing reads it
+    again.
     """
     _check_cap(cap)
     found = list(dict.fromkeys(ctx.bridge_profiles[a] for a in ctx.grammar.alphabet))
@@ -588,17 +659,18 @@ def reachable_profiles(
     def compositions():
         """Every composition of the schedule, made when the walk reaches it."""
         nonlocal hits
-        s_atoms: list = []  # the serial atoms taken so far
+        s_atoms: list = []  # the row tables of the serial atoms taken so far
         p_atoms: list = []  # the parallel atoms so far
         plain: dict = {}  # entries -> the other images taken, in that order
         seen: set = set()  # the entries of every image taken
         for i, x in enumerate(found):  # grows while it is walked
             if i < n_bridges or type(x) is PProfile:
-                s_atoms.append(x)
+                t = ctx.row_table(x)
+                s_atoms.append(t)
                 for j in range(i):
-                    yield op_serial(found[j], x, ctx)
-            for y in s_atoms:
-                yield op_serial(x, y, ctx)
+                    yield ctx.compose(found[j], t)
+            for t in s_atoms:
+                yield ctx.compose(x, t)
             image = par_map(x, ctx)
             if i >= n_bridges and type(x) is SProfile:
                 x._par = None  # only bridges are serial right operands

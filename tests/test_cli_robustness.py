@@ -225,3 +225,32 @@ def test_gen_worstcase_past_the_cap_exits_2_before_building(k, rules):
     assert proc.stderr == (
         f"error: gen-worstcase -k {k} makes {rules} rules, more than the cap of 1000000\n")
     assert elapsed < 1.0
+
+
+def _one_p_grammar(body: str) -> str:
+    return "\n".join(["alphabet: a", "pnonterminals: p", "snonterminals: s", "axioms: p",
+                      "rules:", f"p -> {body}", "p -> a", "s -> a"]) + "\n"
+
+
+@pytest.mark.parametrize("command", ["check", "normalize", "empty"])
+def test_a_summed_count_past_the_digit_limit_is_a_positioned_error(grammar_file, command):
+    # each exponent has 4,300 digits, which the interpreter reads; their sum
+    # has 4,301, which it will not print
+    n = "9" * 4300
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run([command, grammar_file(_one_p_grammar(f"s^{n} || s^{n}"))]) == 2
+    assert err.getvalue() == "error: 6:6: exponents of s sum to a count with too many digits\n"
+
+
+@pytest.mark.parametrize("body", ["s^99999999999999999999 || s", "p || s^99999999999999999999"],
+                         ids=["B", "A"])
+def test_a_count_past_an_index_exits_2_naming_the_rule(grammar_file, body):
+    # the count is read and printed, but a term cannot hold that many copies
+    path = grammar_file(_one_p_grammar(body))
+    assert call(["check", path])[0] == 0
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run(["empty", path]) == 2
+    rule = "p -> " + body.replace("99999999999999999999 || s", "100000000000000000000")
+    assert err.getvalue() == f"error: rule {rule!r}: s has more copies than a term can hold\n"

@@ -193,6 +193,16 @@ def test_an_exponent_past_the_digit_limit_is_a_positioned_error(count):
     )
 
 
+def test_a_summed_count_past_the_digit_limit_is_a_positioned_error():
+    # each exponent is read, but their sum has more digits than can be printed
+    n = "9" * 4300
+    with pytest.raises(ParseError) as exc:
+        parse_grammar(_HEAD + f"p -> s || s^{n} || s^{n}\n")
+    assert (exc.value.msg, exc.value.line, exc.value.col) == (
+        "exponents of s sum to a count with too many digits", 7, 6
+    )
+
+
 def test_comments_and_blank_lines_are_ignored(univ):
     text = UNIV_TEXT.replace("rules:", "\n# body follows\nrules:\n")
     text += "# trailing comment\n\n"

@@ -330,6 +330,23 @@ def _shaped_profiles(ctx, rng):
     return [ctx.pack(pq) for pq in shapes]
 
 
+def _row_shapes(ctx, h1, h2):
+    """The operand types and the left row shapes of ``op_serial(h1, h2)``:
+    rows without an S-remainder, rows with several, and P-remainders in the
+    finished mask of ``h2`` or not."""
+    shapes = {("left", type(h1).__name__), ("right", type(h2).__name__)}
+    fin = ctx.finished(par_map(h2, ctx))
+    for r in (h1 if isinstance(h1, SProfile) else ctx.seq(h1)).rows[1::2]:
+        s = r & ctx.s_bits
+        if not s:
+            shapes.add("no S-remainder")
+        if s & (s - 1):
+            shapes.add("more S-remainders")
+        if r & ctx.p_bits:
+            shapes.add("finished" if r & ctx.p_bits & fin else "unfinished")
+    return shapes
+
+
 @pytest.mark.parametrize("name", ["univ", "chain", "bundle", "one_s", "seed44", "seed43"])
 def test_op_serial_gathers_every_row_shape(name, request):
     if name == "one_s":
@@ -344,21 +361,20 @@ def test_op_serial_gathers_every_row_shape(name, request):
     parallel = [h for h in sample_profiles(ctx, cap=40) if isinstance(h, PProfile)]
     # parallel operands: closure values and the images of the shaped ones
     parallel += [par_map(h, ctx) for h in serial[:12]]
-    shapes = set()
+    # serial atoms (bridges and parallel profiles) through one row table
+    # each, shared by every left operand so that later rows hit
+    atoms = list(ctx.bridge_profiles.values()) + parallel
+    tables = [ctx.row_table(y) for y in atoms]
+    shapes, atom_shapes = set(), set()
     for h1, h2 in itertools.product(serial + parallel, repeat=2):
         assert op_serial(h1, h2, ctx).pairs == ref.op_serial(h1, h2)
-        _, first, more, pend = sp.left(h1 if isinstance(h1, SProfile) else sp.seq(h1))
-        fin = sp.finished(par_map(h2, ctx))
-        shapes.add(("left", type(h1).__name__))
-        shapes.add(("right", type(h2).__name__))
-        if sp.ns in first:
-            shapes.add("no S-remainder")
-        if more:
-            shapes.add("more S-remainders")
-        shapes.update("finished" if pbits & fin else "unfinished" for _, pbits in pend)
+        shapes |= _row_shapes(ctx, h1, h2)
+    for h1, (h2, t) in itertools.product(serial + parallel, zip(atoms, tables)):
+        assert ctx.compose(h1, t).pairs == ref.op_serial(h1, h2)
+        atom_shapes |= _row_shapes(ctx, h1, h2)
     want = {("left", "SProfile"), ("left", "PProfile"), ("right", "SProfile"),
             ("right", "PProfile"), "no S-remainder", "finished", "unfinished"}
     if sp.ns > 1:
         want.add("more S-remainders")
-    assert want <= shapes
+    assert want <= shapes and want <= atom_shapes
     assert (sp.ns == 1) == (name in ("one_s", "seed44"))

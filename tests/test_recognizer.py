@@ -24,6 +24,7 @@ from spr.oracle import (
 )
 from spr.recognizer import (
     PProfile,
+    RecognizerCtx,
     SProfile,
     accepts,
     bridge_profile,
@@ -438,20 +439,37 @@ def test_worklist_closure_matches_the_round_closure(name, request):
         assert set(_sorted_str(capped.profiles)) <= want
 
 
-def _count_compositions(monkeypatch, ctx):
-    """Run a full saturation with counting ``op_serial``/``op_parallel``: the
-    ordered serial operand pairs and the unordered parallel image pairs."""
-    serial, parallel = [], []
+def _count_atom_compositions(monkeypatch, record):
+    """Make every ``RecognizerCtx.compose`` call ``record(left operand,
+    the atom of its row table)`` first."""
+    atoms = {}  # id of a row table -> (table, its atom)
+    row_table, compose = RecognizerCtx.row_table, RecognizerCtx.compose
 
-    def counted_serial(x, y, c):
-        serial.append((_key(x), _key(y)))
-        return op_serial(x, y, c)
+    def counted_table(c, y):
+        t = row_table(c, y)
+        atoms[id(t)] = t, y
+        return t
+
+    def counted_compose(c, x, t):
+        record(x, atoms[id(t)][1])
+        return compose(c, x, t)
+
+    monkeypatch.setattr(RecognizerCtx, "row_table", counted_table)
+    monkeypatch.setattr(RecognizerCtx, "compose", counted_compose)
+
+
+def _count_compositions(monkeypatch, ctx):
+    """Run a full saturation with counting serial atom compositions
+    (``RecognizerCtx.compose`` through a ``row_table``) and ``op_parallel``:
+    the ordered serial operand pairs and the unordered parallel image
+    pairs."""
+    serial, parallel = [], []
 
     def counted_parallel(x, y, c):
         parallel.append(frozenset((par_map(x, c).entries, par_map(y, c).entries)))
         return op_parallel(x, y, c)
 
-    monkeypatch.setattr(recognizer, "op_serial", counted_serial)
+    _count_atom_compositions(monkeypatch, lambda x, y: serial.append((_key(x), _key(y))))
     monkeypatch.setattr(recognizer, "op_parallel", counted_parallel)
     stats = {}
     res = reachable_profiles(ctx, stats=stats)
@@ -496,6 +514,17 @@ def test_a_closure_keeps_no_par_map_view_on_serial_profiles_past_bridges():
     assert len(serial) > 1000
     assert all(h._par is None for h in serial)
     assert all(h._par is not None for h in bridges)
+
+
+def test_a_closure_builds_no_left_view_on_serial_profiles_past_bridges():
+    # every closure composition looks left rows up in a serial atom's row
+    # table, so no profile needs the left view that op_serial reads
+    ctx = build_ctx(gen_worstcase(2))
+    bridges = set(ctx.bridge_profiles.values())
+    reach = reachable_profiles(ctx, cap=2000)
+    serial = [h for h in reach.profiles if isinstance(h, SProfile) and h not in bridges]
+    assert len(serial) > 1000
+    assert all(h._left is None for h in serial)
 
 
 # ---------------------------------------------------------------------------
@@ -676,12 +705,7 @@ def test_long_chains_compose_each_distinct_pair_once(univ, monkeypatch):
     pairs = []
     want = _eval_every_child(chain, ctx, pairs, [])
     calls = []
-
-    def counting(h1, h2, c):
-        calls.append((h1, h2))
-        return op_serial(h1, h2, c)
-
-    monkeypatch.setattr(recognizer, "op_serial", counting)
+    _count_atom_compositions(monkeypatch, lambda h1, h2: calls.append((h1, h2)))
     assert eval_graph(chain, ctx) == want
     assert len(pairs) == 1999
     assert len(calls) == len(set(calls)) <= len(set(pairs)) < 100
