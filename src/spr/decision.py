@@ -8,13 +8,19 @@ value).  A settled derivation is stored as back-pointers (its rule body and
 the settled entries it combines), not as a graph; ``_witness`` builds the
 graph of an entry with ``spgraph.canonicalize``, only when asked for it.
 
+Every search runs in one algebra, ``_search_ops``: the product of the
+profile algebras of some contexts, whose values are tuples with one profile
+per context.  Each composition law keeps a table for the search, keyed by
+the pair of whole values, so each distinct pair is composed once.
+
 The loop has two entry points.  ``_decide`` answers a yes/no question and
 stops once the edge layer of its first answer is finished; ``derivable_values``
 reads every value.
 
-* ``derivable_values``: the loop over the profiles of another grammar, so
-  for every nonterminal all profiles of graphs it derives, each with an
-  edge-minimal witness.  Filtering is read off from this.
+* ``derivable_values``: the loop over the profiles of another grammar (a
+  product of one context), so for every nonterminal all profiles of graphs
+  it derives, each with an edge-minimal witness.  Filtering is read off
+  from this.
 * ``inclusion``: the same loop, stopped at the first rejected axiom value.
 * ``intersection_empty``: the loop over the first grammar's derivations in
   the product of the later grammars' profile algebras, stopped at the first
@@ -44,7 +50,6 @@ from .recognizer import (
     RecognizerCtx,
     _check_cap,
     accepts,
-    bridge_profile,
     build_ctx,
     op_parallel,
     op_serial,
@@ -213,14 +218,52 @@ def _witness(entry, built: dict) -> SPGraph:
     return built[id(entry)]
 
 
-def _decide(g: Grammar, ops, found, cap, t0: float) -> DecisionResult:
-    """Run the loop over ``g``'s derivations in the algebra ``ops`` (atom,
-    ser, par) until the edge layer of the first axiom value that is ``found``
-    is finished.  The decision holds when no value of an axiom is ``found``,
-    and fails with the lightest witness of those that are: only the hits of
-    fewest edges are built, and ranked by ``graph_order``."""
+def _search_ops(ctxs, stats: dict) -> tuple:
+    """The (atom, ser, par) actions of :func:`_lightest` over the product of
+    the profile algebras of ``ctxs``.  A value is a tuple with one profile
+    per context; a label that a context does not know gets that context's
+    empty serial profile, which nothing makes accepting.  With no context
+    the product is the one-point algebra.
+
+    Each law keeps one table for the search, keyed by the pair of whole
+    values, so each distinct pair is composed once, by one ``op_serial`` or
+    ``op_parallel`` call per context, and equal compositions are one shared
+    value.  ``stats["compositions"]`` counts the table entries.  The laws
+    are read from this module when the search starts, so a tracer's
+    wrappers see every composition."""
+    atoms: dict = {}
+    stats["compositions"] = 0
+
+    def atom(a):
+        v = atoms.get(a)
+        if v is None:
+            v = atoms[a] = tuple(ctx.bridge_profiles.get(a, ctx.make(())) for ctx in ctxs)
+        return v
+
+    def tabled(law):
+        table: dict = {}
+
+        def compose(u, v):
+            w = table.get((u, v))
+            if w is None:
+                w = table[u, v] = tuple(map(law, u, v, ctxs))
+                stats["compositions"] += 1
+            return w
+
+        return compose
+
+    return atom, tabled(op_serial), tabled(op_parallel)
+
+
+def _decide(g: Grammar, ctxs, found, cap, t0: float) -> DecisionResult:
+    """Run the loop over ``g``'s derivations in the product of the profile
+    algebras of ``ctxs`` until the edge layer of the first axiom value that
+    is ``found`` is finished.  The decision holds when no value of an axiom
+    is ``found``, and fails with the lightest witness of those that are: only
+    the hits of fewest edges are built, and ranked by ``graph_order``."""
     axioms = set(g.axioms)
     effort: dict = {}
+    ops = _search_ops(ctxs, effort)
     t1 = time.perf_counter()
     values = _lightest(g, *ops, cap, effort, lambda x, value: x in axioms and found(value))
     t2 = time.perf_counter()
@@ -234,6 +277,7 @@ def _decide(g: Grammar, ops, found, cap, t0: float) -> DecisionResult:
     stats = {
         "profiles_explored": effort["settled"],
         "iterations": effort["pops"],
+        "compositions": effort["compositions"],
         "saturation_ms": (t2 - t1) * 1000.0,
         "witness_ms": (t3 - t2) * 1000.0,
         "wall_ms": (t3 - t0) * 1000.0,
@@ -246,25 +290,19 @@ def _decide(g: Grammar, ops, found, cap, t0: float) -> DecisionResult:
 # ---------------------------------------------------------------------------
 
 
-def _profile_ops(ctx: RecognizerCtx):
-    """The (atom, ser, par) actions that evaluate a term into profiles."""
-    return (
-        lambda a: bridge_profile(a, ctx),
-        lambda h1, h2: op_serial(h1, h2, ctx),
-        lambda h1, h2: op_parallel(h1, h2, ctx),
-    )
-
-
 def derivable_values(
     g: Grammar, ctx: RecognizerCtx, cap: Optional[int] = None, stats: Optional[dict] = None
 ) -> dict:
     """For every nonterminal of ``g``: all profiles (w.r.t. ``ctx``) of graphs
     it derives, mapped to an edge-minimal witness graph.  When given,
-    ``stats`` receives the effort: values ``settled`` and heap ``pops``."""
+    ``stats`` receives the effort: values ``settled``, heap ``pops`` and
+    ``compositions`` (distinct pairs composed)."""
     _check_alphabet(g, ctx)
-    values = _lightest(g, *_profile_ops(ctx), cap, stats)
+    if stats is None:
+        stats = {}
+    values = _lightest(g, *_search_ops([ctx], stats), cap, stats)
     built: dict = {}
-    return {x: {v: _witness(e, built) for v, e in vs.items()} for x, vs in values.items()}
+    return {x: {v[0]: _witness(e, built) for v, e in vs.items()} for x, vs in values.items()}
 
 
 def _check_alphabet(g: Grammar, ctx: RecognizerCtx) -> None:
@@ -282,7 +320,7 @@ def inclusion(g1: Grammar, g2: Grammar, cap: Optional[int] = None) -> DecisionRe
     t0 = time.perf_counter()
     ctx2 = build_ctx(g2)
     _check_alphabet(g1, ctx2)
-    return _decide(g1, _profile_ops(ctx2), lambda v: not accepts(v, ctx2), cap, t0)
+    return _decide(g1, [ctx2], lambda v: not accepts(v[0], ctx2), cap, t0)
 
 
 def intersection_empty(grammars, cap: Optional[int] = None) -> DecisionResult:
@@ -303,22 +341,10 @@ def intersection_empty(grammars, cap: Optional[int] = None) -> DecisionResult:
     first, *rest = grammars
     ctxs = [build_ctx(g) for g in rest]
 
-    # packed over each context's own space, as everything the loop composes
-    empties = [ctx.make(()) for ctx in ctxs]
-
-    def atom(a):
-        return tuple(ctx.bridge_profiles.get(a, e) for ctx, e in zip(ctxs, empties))
-
-    def ser(u, v):
-        return tuple(op_serial(x, y, ctx) for ctx, x, y in zip(ctxs, u, v))
-
-    def par(u, v):
-        return tuple(op_parallel(x, y, ctx) for ctx, x, y in zip(ctxs, u, v))
-
     def common(value):
         return all(accepts(h, ctx) for ctx, h in zip(ctxs, value))
 
-    return _decide(first, (atom, ser, par), common, cap, t0)
+    return _decide(first, ctxs, common, cap, t0)
 
 
 def is_empty(g: Grammar) -> bool:
@@ -350,7 +376,7 @@ def filter_grammar(
         ordered = sorted(values[x].items(), key=lambda vw: graph_order(vw[1]))
         vname[x] = {v: f"{x}$v{i}" for i, (v, _) in enumerate(ordered)}
 
-    atom, ser, par = _profile_ops(ctx2)
+    atom, ser, par = _search_ops([ctx2], {})
     rules = []
     for r in g1.rules:
         t = rule_rhs_term(r)
@@ -358,7 +384,7 @@ def filter_grammar(
         fold_term(t, _ignore, occ.append, _ignore, _ignore)
         for vals in itertools.product(*(values[y] for y in occ)):
             it = iter(vals)
-            value = fold_term(t, atom, lambda _: next(it), ser, par)
+            (value,) = fold_term(t, atom, lambda _: (next(it),), ser, par)
             it = iter(vname[y][v] for y, v in zip(occ, vals))
             body = fold_term(t, Atom, lambda _: Ref(next(it)), Serial, Parallel)
             rules.append(RuleFree(vname[r.lhs][value], body))

@@ -195,7 +195,8 @@ def test_include_json_shape(gfile, capsys):
     assert data["holds"] is False
     assert data["witness"] == "b"
     assert set(data["stats"]) == {
-        "profiles_explored", "iterations", "saturation_ms", "witness_ms", "wall_ms"
+        "profiles_explored", "iterations", "compositions", "saturation_ms", "witness_ms",
+        "wall_ms",
     }
 
 
@@ -396,7 +397,8 @@ def test_empty_reports_its_effort(gfile, capsys):
     assert run(["--json", "empty", gfile(CHAIN_TEXT)]) == 1
     data = json.loads(capsys.readouterr().out)
     assert set(data["stats"]) == {
-        "profiles_explored", "iterations", "saturation_ms", "witness_ms", "wall_ms"
+        "profiles_explored", "iterations", "compositions", "saturation_ms", "witness_ms",
+        "wall_ms",
     }
     assert data["stats"]["profiles_explored"] == 2  # p and s
     assert data["stats"]["iterations"] >= 2

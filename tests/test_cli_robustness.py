@@ -141,15 +141,17 @@ def test_enumerate_of_a_deep_chain_with_twin_routes_ends_in_an_exit_code(grammar
     assert parse_graph(graphs[0]).edges == 601
 
 
-# Runs ``spr`` with the arguments it is given, with this process's address
-# space limited to 64 MB above what it maps after the imports.
+# Runs ``spr`` with the arguments after the first, with this process's
+# address space limited to the first argument's megabytes above what it maps
+# after the imports.
 LIMITED = """\
 import resource, sys
 from spr.cli import entry
 with open("/proc/self/status") as f:
     size = next(int(line.split()[1]) * 1024 for line in f if line.startswith("VmSize:"))
-resource.setrlimit(resource.RLIMIT_AS, (size + 64 * 2**20, resource.RLIM_INFINITY))
-sys.argv = ["spr", *sys.argv[1:]]
+headroom = int(sys.argv[1]) * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (size + headroom, resource.RLIM_INFINITY))
+sys.argv = ["spr", *sys.argv[2:]]
 entry()
 """
 
@@ -158,12 +160,12 @@ needs_proc = pytest.mark.skipif(
 )
 
 
-def run_limited(args, timeout):
+def run_limited(args, timeout, headroom_mb=64):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-c", LIMITED, *args],
+        [sys.executable, "-c", LIMITED, str(headroom_mb), *args],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
 
@@ -171,10 +173,11 @@ def run_limited(args, timeout):
 @needs_proc
 def test_running_out_of_memory_ends_in_exit_2(tmp_path):
     # spr stats on the k = 2 string-matching grammar at the default cap
-    # needs gigabytes
+    # needs hundreds of megabytes; the leaner the closure, the longer it runs
+    # before it has used up a headroom, so the headroom is small
     grammar = tmp_path / "wc2.spg"
     grammar.write_text(format_grammar(gen_worstcase(2)))
-    proc = run_limited(["stats", str(grammar)], timeout=120)
+    proc = run_limited(["stats", str(grammar)], timeout=120, headroom_mb=16)
     assert (proc.returncode, proc.stderr) == (2, "error: out of memory (try a smaller --cap)\n")
     assert proc.stdout == ""
 

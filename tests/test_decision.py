@@ -1,3 +1,4 @@
+import collections
 import heapq
 import itertools
 from collections import defaultdict
@@ -5,6 +6,7 @@ from collections import defaultdict
 import pytest
 
 from conftest import EVEN_CHAIN_TEXT
+from spr import decision
 from spr.decision import (
     CapExceeded,
     DecisionResult,
@@ -63,7 +65,8 @@ def test_decision_result_protocol(ga, gab):
     assert (holds, witness) == (True, None)
     assert bool(res)
     assert set(res.stats) == {
-        "profiles_explored", "iterations", "saturation_ms", "witness_ms", "wall_ms"
+        "profiles_explored", "iterations", "compositions", "saturation_ms", "witness_ms",
+        "wall_ms",
     }
     assert res.stats["profiles_explored"] >= 1
     assert not DecisionResult(False)
@@ -527,6 +530,54 @@ def test_inclusion_of_the_worst_case_grammars_stops_at_its_counterexample():
     ctx2, ctx3 = build_ctx(wc2), build_ctx(wc3)
     assert accepts(eval_graph(res.witness, ctx2), ctx2)
     assert not accepts(eval_graph(res.witness, ctx3), ctx3)
+
+
+# ---------------------------------------------------------------------------
+# the search algebra: one table per law and search
+# ---------------------------------------------------------------------------
+
+
+def test_a_search_composes_each_distinct_pair_of_values_once(
+    univ, chain, bundle, even_bundle, monkeypatch
+):
+    calls: list = []  # (law, left, right, context) of every composition
+    for name in ("op_serial", "op_parallel"):
+
+        def counting(h1, h2, ctx, law=getattr(decision, name), name=name):
+            calls.append((name, h1, h2, ctx))
+            return law(h1, h2, ctx)
+
+        monkeypatch.setattr(decision, name, counting)
+    wc2, wc3 = gen_worstcase(2), gen_worstcase(3)
+    searches = [
+        (inclusion, (wc2, wc3), False),
+        # b is unknown to bundle and even_bundle, so its value is their empty
+        # serial profiles
+        (intersection_empty, ([univ, bundle, even_bundle],), False),
+        # empty, so the whole product is saturated
+        (intersection_empty, ([univ, chain, bundle],), True),
+    ]
+    for search, args, holds in searches:
+        calls.clear()
+        res = search(*args)
+        assert res.holds is holds
+        n = res.stats["compositions"]
+        per_ctx = collections.Counter(id(c[3]) for c in calls)
+        contexts = 1 if search is inclusion else len(args[0]) - 1
+        assert sorted(per_ctx.values()) == [n] * contexts
+        if contexts == 1:
+            assert len({c[:3] for c in calls}) == n
+        assert all(h.space is c[3].names for c in calls for h in c[1:3])
+    # every component of every settled value belongs to its own context
+    for grammars in ([univ, bundle, even_bundle], [univ, chain, bundle]):
+        ctxs = [build_ctx(g) for g in grammars[1:]]
+        effort: dict = {}
+        values = decision._lightest(grammars[0], *decision._search_ops(ctxs, effort))
+        assert effort["compositions"] > 0
+        for vs in values.values():
+            for value in vs:
+                assert len(value) == len(ctxs)
+                assert all(h.space is ctx.names for h, ctx in zip(value, ctxs))
 
 
 # ---------------------------------------------------------------------------
