@@ -98,8 +98,9 @@ def _cmd_normalize(args) -> int:
 def _cmd_member(args) -> int:
     g = _load(args.grammar)
     graph = parse_graph(_read(args.term) if args.term == "-" else args.term)
-    ok = member(graph, g)
-    _emit(args, {"member": ok, "graph": format_graph(graph)}, [str(ok).lower()])
+    stats: dict = {}
+    ok = member(graph, g, stats=stats)
+    _emit(args, {"member": ok, "graph": format_graph(graph), "stats": stats}, [str(ok).lower()])
     return 0 if ok else 1
 
 

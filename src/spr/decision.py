@@ -237,7 +237,7 @@ def _search_ops(ctxs, stats: dict) -> tuple:
     def atom(a):
         v = atoms.get(a)
         if v is None:
-            v = atoms[a] = tuple(ctx.bridge_profiles.get(a, ctx.make(())) for ctx in ctxs)
+            v = atoms[a] = tuple(ctx.bridge_profiles.get(a, ctx.make((), ())) for ctx in ctxs)
         return v
 
     def tabled(law):

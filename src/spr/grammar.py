@@ -601,7 +601,8 @@ def parse_grammar(text: str) -> Grammar:
             raise ParseError("expected 'rules:' section", i, 1)
         break
     else:
-        raise ParseError("missing 'rules:' section", len(lines), 1)
+        # positions are 1-based: empty text reports its one empty line
+        raise ParseError("missing 'rules:' section", max(len(lines), 1), 1)
 
     kinds = {n: "P" for n in header["pnonterminals"]}
     kinds.update({n: "S" for n in header["snonterminals"]})

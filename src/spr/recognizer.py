@@ -8,10 +8,11 @@ membership of arbitrarily large graphs is decided by one bottom-up sweep:
   ``(s, q)`` meaning S-nonterminal ``s`` derives the whole graph followed by
   remainder nonterminal ``q``; ``q is None`` (⊥) marks a complete derivation.
   It is packed over its context's remainder index ``names``: remainder
-  ``j`` runs over the S-names, the P-names, then ⊥; the profile is the flat
-  tuple ``(i, row_i, ...)`` of its nonzero rows, and bit ``j`` of ``row_i``
-  stands for the pair (S-name ``i``, remainder ``j``).  ``.pairs`` reads the
-  pairs back.
+  ``j`` runs over the S-names, the P-names, then ⊥; the profile is two
+  aligned tuples, ``idx`` the S-names of its nonzero rows in increasing
+  order and ``rows`` those rows, and bit ``j`` of ``rows[k]`` stands for the
+  pair (S-name ``idx[k]``, remainder ``j``).  ``.pairs`` reads the pairs
+  back.
 * a ``PProfile`` (for parallel graphs) maps every P-nonterminal ``p`` to the
   reduced sum of monomials over p's known S-variables, one variable per
   parallel component, describing which parallel layers p can still build.
@@ -23,7 +24,7 @@ The two views convert into each other: ``par_map`` reads a serial graph as a
 single parallel component, ``seq_map`` turns a parallel graph's views into
 chain steps through the serial rules.  The context computes each view of a
 profile the first time it is asked for, and the profile keeps it: a serial
-profile its left view (index tuples: the rows' S-names, each row's first
+profile its left view (index tuples: ``idx``, each row's first
 S-remainder, and the few rows with further S-remainders or with
 P-remainders), its rows indexed by S-name (on the right) and its
 ``par_map``; a parallel profile its finished mask (the P-names that accept
@@ -39,15 +40,17 @@ A right operand that is a layer atom (a bridge or a parallel profile) meets
 few distinct left rows, so the callers that compose with atoms do it through
 a *row table* of the atom (``RecognizerCtx.row_table``): a dict from a
 packed left row to its composed row, filled on a miss by the same row law.
-Composing is then one lookup per left row (``RecognizerCtx.compose``), and
-the left profile needs no left view.  The choice is by operand shape:
-``reachable_profiles`` and ``eval_graph`` compose every serial pair with an
-atom on the right and keep one table per atom for one call, while
-``op_serial`` with its left view serves composite right operands (the
-values of ``decision._lightest``), which a table would not repay.
-Profiles exist only packed over a context, made by its ``make``,
-``from_dense``, ``pack`` and ``pprofile``; the operations reject a profile
-of another context with a ``ValueError``.
+Composing is then one lookup pass over the left ``rows``
+(``RecognizerCtx.compose``), which keeps the left ``idx`` unless a row
+composes to 0, and the left profile needs no left view.  The choice is by
+operand shape: ``reachable_profiles`` and ``eval_graph`` compose every
+serial pair with an atom on the right and keep one table per atom for one
+call, while ``op_serial`` with its left view serves composite right
+operands (the values of ``decision._lightest``), which a table would not
+repay.  Profiles exist only packed over a context, made by its ``make``
+(which ``from_dense``, ``pack``, ``seq`` and both serial compositions call)
+and ``pprofile``; the operations reject a profile of another context with
+a ``ValueError``.
 
 The recognizer's algebra is finite, so a large graph goes through few
 distinct profiles.  ``eval_graph`` therefore interns every profile it meets
@@ -75,7 +78,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import compress
 from typing import Optional, Union
 
 from .grammar import (
@@ -106,23 +109,25 @@ from .termalg import (
 
 
 class SProfile:
-    """A serial profile: ``rows`` packed over the remainder index ``space``
-    (see the module docstring), made by ``RecognizerCtx.make``.  Two
-    profiles are equal when they belong to one context and their rows are
-    equal."""
+    """A serial profile packed over the remainder index ``space`` (see the
+    module docstring), made by ``RecognizerCtx.make``: ``idx`` holds the
+    S-names of its nonzero rows in increasing order and ``rows`` those rows,
+    position by position.  Two profiles are equal when they belong to one
+    context and their ``idx`` and ``rows`` are equal; the hash reads
+    ``rows`` only."""
 
-    __slots__ = ("rows", "space", "_pairs", "_left", "_heads", "_par")
+    __slots__ = ("idx", "rows", "space", "_pairs", "_left", "_heads", "_par")
 
     @property
     def pairs(self) -> frozenset:
         if self._pairs is None:
-            self._pairs = _decode(self.space, self.rows)
+            self._pairs = _decode(self.space, self.idx, self.rows)
         return self._pairs
 
     def __eq__(self, other):
         if type(other) is not SProfile:
             return NotImplemented
-        return self.space is other.space and self.rows == other.rows
+        return self.space is other.space and self.rows == other.rows and self.idx == other.idx
 
     def __hash__(self):
         return hash(self.rows)
@@ -174,12 +179,8 @@ def profile_to_json(h: Profile):
 _new = object.__new__
 
 
-def _decode(names: tuple, rows: tuple) -> frozenset:
-    return frozenset(
-        (names[rows[k]], names[j])
-        for k in range(0, len(rows), 2)
-        for j in _set_bits(rows[k + 1])
-    )
+def _decode(names: tuple, idx: tuple, rows: tuple) -> frozenset:
+    return frozenset((names[i], names[j]) for i, r in zip(idx, rows) for j in _set_bits(r))
 
 
 class RecognizerCtx:
@@ -227,9 +228,11 @@ class RecognizerCtx:
 
     # -- building and reading packed profiles ---------------------------------
 
-    def make(self, rows: tuple) -> SProfile:
-        """The profile of the flat row ``rows``, packed over this context."""
+    def make(self, idx: tuple, rows: tuple) -> SProfile:
+        """The profile with row ``rows[k]`` for S-name ``idx[k]``, packed
+        over this context: ``idx`` increases and no row is 0."""
         h = _new(SProfile)
+        h.idx = idx
         h.rows = rows
         h.space = self.names
         h._pairs = h._left = h._heads = h._par = None
@@ -237,11 +240,7 @@ class RecognizerCtx:
 
     def from_dense(self, rows: list) -> SProfile:
         """The profile with row ``rows[i]`` for S-name ``i``."""
-        flat = []
-        for i, r in enumerate(rows):
-            if r:
-                flat += (i, r)
-        return self.make(tuple(flat))
+        return self.make(tuple([*compress(range(len(rows)), rows)]), tuple([*filter(None, rows)]))
 
     def pack(self, pairs) -> SProfile:
         index = self.index
@@ -260,16 +259,16 @@ class RecognizerCtx:
     # -- the views of profiles packed over this context -----------------------
 
     def left(self, h: SProfile) -> tuple:
-        """The rows as ``op_serial`` reads them on the left: the S-name of
-        each row, the first S-remainder of each row (``ns`` for a row without
+        """The rows as ``op_serial`` reads them on the left: ``idx``, the
+        first S-remainder of each row (``ns`` for a row without
         one), the rows with further S-remainders as pairs (row position,
         those S-remainders) and the rows with P-remainders as pairs (row
         position, P-remainder bits)."""
         v = h._left
         if v is None:
-            rows, ns, s_bits, p_bits = h.rows, self.ns, self.s_bits, self.p_bits
+            ns, s_bits, p_bits = self.ns, self.s_bits, self.p_bits
             first, more, pend = [], [], []
-            for k, r in enumerate(rows[1::2]):
+            for k, r in enumerate(h.rows):
                 s = r & s_bits
                 low = s & -s
                 first.append(low.bit_length() - 1 if low else ns)
@@ -277,7 +276,7 @@ class RecognizerCtx:
                     more.append((k, tuple(_set_bits(s ^ low))))
                 if r & p_bits:
                     pend.append((k, r & p_bits))
-            v = h._left = (rows[0::2], tuple(first), tuple(more), tuple(pend))
+            v = h._left = (h.idx, tuple(first), tuple(more), tuple(pend))
         return v
 
     def heads(self, h: SProfile) -> list:
@@ -287,24 +286,22 @@ class RecognizerCtx:
         v = h._heads
         if v is None:
             v = h._heads = [0] * (self.ns + 1)
-            rows = h.rows
-            for k in range(0, len(rows), 2):
-                v[rows[k]] = rows[k + 1]
+            for i, r in zip(h.idx, h.rows):
+                v[i] = r
         return v
 
     def done(self, h: SProfile) -> int:
         """The S-names that derive the whole graph, as a bitmask."""
-        v, rows, bot = 0, h.rows, self.bot
-        for k in range(0, len(rows), 2):
-            if rows[k + 1] & bot:
-                v |= 1 << rows[k]
+        v = 0
+        for i in compress(h.idx, map(self.bot.__and__, h.rows)):
+            v |= 1 << i
         return v
 
     def par(self, h: SProfile) -> PProfile:
         """``par_map`` of ``h``."""
         v = h._par
         if v is None:
-            done = list(_set_bits(self.done(h)))
+            done = list(compress(h.idx, map(self.bot.__and__, h.rows)))
             entries = []
             for p, space, _, _, vb in self.layers:
                 bits = 0
@@ -362,10 +359,17 @@ class RecognizerCtx:
 
     def compose(self, h: Profile, table: RowTable) -> SProfile:
         """``op_serial`` of ``h`` and the right operand of ``table``: each row
-        of ``h`` looked up in the table."""
-        rows = (h if type(h) is SProfile else self.seq(h)).rows
-        out = list(map(table.__getitem__, rows[1::2]))
-        return self.make(tuple(chain.from_iterable(compress(zip(rows[0::2], out), out))))
+        of ``h`` looked up in the table, in one pass that keeps ``h.idx``
+        unless a row composes to 0."""
+        if type(h) is not SProfile:
+            h = self.seq(h)
+        # every tuple is copied from a list: a tuple built from an iterator
+        # of unknown length grows by reallocation, which fragments the
+        # small-object pools (a higher peak RSS)
+        out = list(map(table.__getitem__, h.rows))
+        if all(out):
+            return self.make(h.idx, tuple(out))
+        return self.make(tuple([*compress(h.idx, out)]), tuple([*filter(None, out)]))
 
 
 class RowTable(dict):
@@ -495,7 +499,7 @@ def op_serial(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> SProfile:
     r1 = h1 if type(h1) is SProfile else ctx.seq(h1)
     r2 = h2 if type(h2) is SProfile else ctx.seq(h2)
     heads = ctx.heads(r2)
-    names, first, more, pend = ctx.left(r1)
+    idx, first, more, pend = ctx.left(r1)
     # every row takes the right row its first S-remainder names; only rows
     # with more remainders, or with P-remainders, need a step of their own
     out = list(map(heads.__getitem__, first))
@@ -509,7 +513,9 @@ def op_serial(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> SProfile:
         for k, pbits in pend:
             if pbits & fin:
                 out[k] |= ctx.bot
-    return ctx.make(tuple(chain.from_iterable(compress(zip(names, out), out))))
+    if all(out):
+        return ctx.make(idx, tuple(out))
+    return ctx.make(tuple([*compress(idx, out)]), tuple([*filter(None, out)]))
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +592,14 @@ def accepts(h: Profile, ctx: RecognizerCtx) -> bool:
     return bool(ctx.finished(h) & ctx.p_axioms)
 
 
-def member(graph: SPGraph, g: Grammar, ctx: Optional[RecognizerCtx] = None) -> bool:
+def member(
+    graph: SPGraph, g: Grammar, ctx: Optional[RecognizerCtx] = None, stats: Optional[dict] = None
+) -> bool:
+    """Is ``graph`` in ``g``'s language?  ``stats`` receives ``eval_graph``'s
+    effort."""
     if ctx is None:
         ctx = build_ctx(g)
-    return accepts(eval_graph(graph, ctx), ctx)
+    return accepts(eval_graph(graph, ctx, stats), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +651,8 @@ def reachable_profiles(
     taken, is composed with every parallel atom so far, and a new parallel
     atom with every image taken that is not one.  So each ordered pair
     (profile, serial atom) is composed once, and each unordered pair (image,
-    parallel atom) once.  Membership is tested on the packed ``rows`` and
-    ``entries``.  ``stats`` receives the effort as ``eval_graph`` reports
+    parallel atom) once.  Membership is tested on the packed ``(idx, rows)``
+    and ``entries``.  ``stats`` receives the effort as ``eval_graph`` reports
     it: ``compositions``, ``table_hits`` (profiles taken whose ``par_map``
     image an earlier profile had, so their parallel products are already
     made) and ``profiles``.  Each serial atom is composed through a row
@@ -688,7 +698,7 @@ def reachable_profiles(
                 del plain[key]
                 p_atoms.append(image)
 
-    serial_keys = {h.rows for h in found}
+    serial_keys = {(h.idx, h.rows) for h in found}
     parallel_keys: set = set()
     made = 0
 
@@ -703,7 +713,7 @@ def reachable_profiles(
     for h in compositions():
         made += 1
         if type(h) is SProfile:
-            keys, key = serial_keys, h.rows
+            keys, key = serial_keys, (h.idx, h.rows)
         else:
             keys, key = parallel_keys, h.entries
         if key not in keys:

@@ -136,7 +136,13 @@ def test_member_term_from_stdin(gfile, capsys, monkeypatch):
 def test_member_json(gfile, capsys):
     assert run(["--json", "member", "-g", gfile(GAB_TEXT), "-t", "b"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data == {"member": True, "graph": "b"}
+    assert data == {"member": True, "graph": "b",
+                    "stats": {"compositions": 0, "table_hits": 0, "profiles": 1}}
+    # eval_graph's effort: the last of the three parallel steps repeats a
+    # pair of profiles that the second made
+    assert run(["--json", "member", "-g", gfile(GAB_TEXT), "-t", "a || b || a || b"]) == 1
+    assert json.loads(capsys.readouterr().out)["stats"] == {
+        "compositions": 2, "table_hits": 1, "profiles": 3}
 
 
 # ---------------------------------------------------------------------------

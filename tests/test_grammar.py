@@ -175,6 +175,8 @@ _HEAD = "alphabet: a\npnonterminals: p\nsnonterminals: s\naxioms: p\nrules:\np -
         # an exponent outside a parallel body of S-nonterminals, at its '^'
         (parse_grammar, _HEAD + "p -> a^2\n", _MISPLACED_EXPONENT, 7, 7),
         (parse_grammar, _HEAD + "s -> p . s^2\n", _MISPLACED_EXPONENT, 7, 11),
+        # empty text has no line 0
+        (parse_grammar, "", "missing 'rules:' section", 1, 1),
     ],
 )
 def test_parse_errors_point_at_the_offending_token(read, text, message, line, col):

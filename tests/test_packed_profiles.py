@@ -12,6 +12,7 @@ from spr.grammar import RuleC, RuleD, parse_grammar
 from spr.oracle import gen_random_grammar
 from spr.recognizer import (
     PProfile,
+    RecognizerCtx,
     SProfile,
     accepts,
     build_ctx,
@@ -146,7 +147,7 @@ def test_packed_profiles_agree_with_pair_sets(seed):
     ctx = build_ctx(gen_random_grammar(seed))
     ref = PairSets(ctx)
     profiles = sample_profiles(ctx)
-    profiles.append(ctx.make(()))  # the empty profile
+    profiles.append(ctx.make((), ()))  # the empty profile
     for h in profiles:
         assert terms(par_map(h, ctx)) == ref.par_map(h)
         assert seq_map(h, ctx) == ref.seq_map(h)
@@ -177,14 +178,14 @@ def test_profiles_of_another_context_are_rejected(chain, univ):
     contexts = [build_ctx(chain), build_ctx(univ), build_ctx(chain)]
     for ctx in contexts:
         ref = PairSets(ctx)
-        empty = ctx.make(())
+        empty = ctx.make((), ())
         for b in ctx.bridge_profiles.values():
             for h1, h2 in ((empty, b), (b, empty), (b, b)):
                 assert op_serial(h1, h2, ctx).pairs == ref.op_serial(h1, h2)
         assert not accepts(empty, ctx)
     for ctx, other in itertools.permutations(contexts, 2):
         ours = ctx.bridge_profiles["a"]
-        for h in (other.bridge_profiles["a"], other.make(()),
+        for h in (other.bridge_profiles["a"], other.make((), ()),
                   par_map(other.bridge_profiles["a"], other)):
             for call in (
                 lambda: par_map(h, ctx),
@@ -336,7 +337,7 @@ def _row_shapes(ctx, h1, h2):
     finished mask of ``h2`` or not."""
     shapes = {("left", type(h1).__name__), ("right", type(h2).__name__)}
     fin = ctx.finished(par_map(h2, ctx))
-    for r in (h1 if isinstance(h1, SProfile) else ctx.seq(h1)).rows[1::2]:
+    for r in (h1 if isinstance(h1, SProfile) else ctx.seq(h1)).rows:
         s = r & ctx.s_bits
         if not s:
             shapes.add("no S-remainder")
@@ -378,3 +379,65 @@ def test_op_serial_gathers_every_row_shape(name, request):
         want.add("more S-remainders")
     assert want <= shapes and want <= atom_shapes
     assert (sp.ns == 1) == (name in ("one_s", "seed44"))
+
+
+# ---------------------------------------------------------------------------
+# the serial layout: two aligned tuples of increasing S-names and their rows
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("packed", [True, False])
+@pytest.mark.parametrize(
+    "name", ["univ", "chain", "bundle", "even_bundle"] + [f"seed{s}" for s in range(60)])
+def test_every_serial_profile_keeps_its_layout(name, packed, request, monkeypatch):
+    # every builder goes through make, so recording make sees the profiles
+    # of from_dense, pack, seq, compose, op_serial and the bridge table
+    if not packed:
+        monkeypatch.setattr(termalg, "BOX_LIMIT", 1)
+    made = []
+    make = RecognizerCtx.make
+
+    def recording(self, idx, rows):
+        h = make(self, idx, rows)
+        made.append(h)
+        return h
+
+    monkeypatch.setattr(RecognizerCtx, "make", recording)
+    if name.startswith("seed"):
+        ctx = build_ctx(gen_random_grammar(int(name[len("seed"):])))
+    else:
+        ctx = build_ctx(request.getfixturevalue(name))
+    bridges = list(ctx.bridge_profiles.values())
+    assert bridges and {id(h) for h in bridges} <= {id(h) for h in made}
+    rng = random.Random(name)
+    profiles = sorted(sample_profiles(ctx, cap=40), key=key)
+    parallel = [h for h in profiles if isinstance(h, PProfile)]
+    dense = [[rng.choice((0, 0, rng.getrandbits(len(ctx.names)))) for _ in range(ctx.ns)]
+             for _ in range(10)]
+    extra = [ctx.make((), ()), *map(ctx.from_dense, dense), *map(ctx.seq, parallel)]
+    extra += [ctx.pack(pq for pq in h.pairs if rng.random() < 0.5)
+              for h in profiles if isinstance(h, SProfile)]
+    operands = profiles + extra
+    for h, a in itertools.product(operands, bridges + parallel):
+        via_table = ctx.compose(h, ctx.row_table(a))
+        assert via_table == op_serial(h, a, ctx)
+        assert hash(via_table) == hash(op_serial(h, a, ctx))
+    for _ in range(100):
+        op_serial(rng.choice(operands), rng.choice(operands), ctx)
+
+    ns, width = ctx.ns, len(ctx.names)
+    by_pairs = {}
+    for h in made:
+        assert len(h.idx) == len(h.rows)
+        assert all(i < j for i, j in zip(h.idx, h.idx[1:]))
+        assert all(0 <= i < ns for i in h.idx)
+        assert all(0 < r < 1 << width for r in h.rows)
+        by_pairs.setdefault(h.pairs, []).append(h)
+    # equal pair sets are equal profiles with equal hashes, and only they
+    for pairs, hs in by_pairs.items():
+        again = ctx.pack(pairs)
+        for h in hs:
+            assert h == again and hash(h) == hash(again)
+            assert (h.idx, h.rows) == (again.idx, again.rows)
+    firsts = [hs[0] for hs in by_pairs.values()]
+    assert len(set(firsts)) == len(firsts)

@@ -203,7 +203,7 @@ def test_serial_profile_value(univ):
 
 def test_profile_json_shapes(univ):
     ctx = build_ctx(univ)
-    assert profile_to_json(ctx.make(())) == []
+    assert profile_to_json(ctx.make((), ())) == []
     as_json = profile_to_json(eval_graph(parse_graph("a || b"), ctx))
     assert set(as_json) == {"p"}
     assert isinstance(as_json["p"], str)
@@ -218,7 +218,7 @@ def test_accepts_universal(univ):
     ctx = build_ctx(univ)
     for t in ("a", "a || a", "a . a", "(a || b) . c".replace("c", "a")):
         assert accepts(eval_graph(parse_graph(t), ctx), ctx)
-    assert not accepts(ctx.make(()), ctx)
+    assert not accepts(ctx.make((), ()), ctx)
 
 
 def test_accepts_needs_an_axiom(chain):
@@ -478,7 +478,7 @@ def _count_compositions(monkeypatch, ctx):
 
 
 def _key(h):
-    return ("S", h.rows) if isinstance(h, SProfile) else ("P", h.entries)
+    return ("S", h.idx, h.rows) if isinstance(h, SProfile) else ("P", h.entries)
 
 
 @pytest.mark.parametrize("name", ["univ", "chain", "bundle", "even_bundle", "random32", "random43"])
