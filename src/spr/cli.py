@@ -100,7 +100,10 @@ def _cmd_member(args) -> int:
     graph = parse_graph(_read(args.term) if args.term == "-" else args.term)
     stats: dict = {}
     ok = member(graph, g, stats=stats)
-    _emit(args, {"member": ok, "graph": format_graph(graph), "stats": stats}, [str(ok).lower()])
+    data = {"member": ok, "stats": stats}
+    if args.json:  # only the JSON report prints the graph back
+        data["graph"] = format_graph(graph)
+    _emit(args, data, [str(ok).lower()])
     return 0 if ok else 1
 
 

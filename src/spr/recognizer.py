@@ -53,10 +53,13 @@ and ``pprofile``; the operations reject a profile of another context with
 a ``ValueError``.
 
 The recognizer's algebra is finite, so a large graph goes through few
-distinct profiles.  ``eval_graph`` therefore interns every profile it meets
-in a table of its own call, so equal profiles are one object that keeps its
-views, and keeps a serial and a parallel composition table keyed by the ids
-of two interned operands: each distinct pair is composed once per call.  A
+distinct profiles.  ``eval_graph`` walks a graph's nodes by identity,
+folding each layer's ``parts`` in the order they were built, so a subgraph
+that ``spgraph.parse_graph`` shares is evaluated once and no key string is
+made.  It interns every profile it meets in a table of its own call, so
+equal profiles are one object that keeps its views, and keeps a serial and
+a parallel composition table keyed by the ids of two interned operands:
+each distinct pair is composed once per call.  A
 serial layer's parts are bridges or parallel graphs, so a serial miss
 composes through the row table of its right operand, one per interned
 operand.  The tables die with the call, and a context that kept them would
@@ -524,18 +527,21 @@ def op_serial(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> SProfile:
 
 
 def eval_graph(g: SPGraph, ctx: RecognizerCtx, stats: Optional[dict] = None) -> Profile:
-    """Bottom-up profile of a canonical graph (iterative, memoized on shared
-    subgraphs), composing each distinct pair of profiles once.
+    """Bottom-up profile of a canonical graph (iterative, memoized by node
+    identity, so a subgraph shared within ``g`` is evaluated once),
+    composing each distinct pair of profiles once.
 
-    Every profile the call meets goes through one intern table, so equal
-    profiles are one object (which keeps its views), and a serial and a
-    parallel table map the ids of two interned operands to their interned
-    composition; a serial miss looks each left row up in the row table of
-    its right operand, a bridge or parallel profile, one table per interned
-    operand.  All four tables live for this call only.  ``stats`` receives
-    the effort: ``compositions`` (serial and parallel compositions made),
+    Each layer folds its ``parts`` in the order they were built, so no
+    key is spelled and no parallel node is sorted.  Every profile the call
+    meets goes through one intern table, so equal profiles are one object
+    (which keeps its views), and a serial and a parallel table map the ids
+    of two interned operands to their interned composition; a serial miss
+    looks each left row up in the row table of its right operand, a bridge
+    or parallel profile, one table per interned operand.  All the tables
+    live for this call only.  ``stats`` receives the effort:
+    ``compositions`` (serial and parallel compositions made),
     ``table_hits`` and ``profiles`` (distinct profiles)."""
-    memo: dict[str, Profile] = {}
+    memo: dict[int, Profile] = {}  # id of a node of g -> its profile
     canon: dict = {}  # profile -> the one equal profile this call uses
     serial: dict = {}  # (id, id) of interned operands -> interned result
     parallel: dict = {}
@@ -547,41 +553,52 @@ def eval_graph(g: SPGraph, ctx: RecognizerCtx, stats: Optional[dict] = None) -> 
             t = rows[id(h2)] = ctx.row_table(h2)
         return ctx.compose(h1, t)
 
+    def bridge(b):
+        h = bridge_profile(b.label, ctx)
+        memo[id(b)] = canon.setdefault(h, h)
+
     steps = 0  # compositions asked for
-    stack = [g]
+    # layers to evaluate, each with a (layer,) below it that folds the layer
+    # once its parts are evaluated; a bridge is evaluated where it is met
+    stack: list = []
+    if type(g) is Bridge:
+        bridge(g)
+    else:
+        stack.append(g)
     while stack:
         node = stack.pop()
-        if node.key in memo:
+        if type(node) is not tuple:
+            if id(node) in memo:
+                continue
+            stack.append((node,))
+            for c in node.parts:
+                if id(c) not in memo:
+                    if type(c) is Bridge:
+                        bridge(c)
+                    else:
+                        stack.append(c)
             continue
-        if type(node) is Bridge:
-            h = bridge_profile(node.label, ctx)
-            memo[node.key] = canon.setdefault(h, h)
-            continue
-        pending = [c for c in node.children if c.key not in memo]
-        if pending:
-            stack.append(node)
-            stack.extend(pending)
-            continue
+        node = node[0]  # (layer,): its parts are evaluated, fold them
+        parts = node.parts
         if type(node) is SNode:
             table, op = serial, by_table
         else:
             table, op = parallel, op_parallel
-        children = iter(node.children)
-        acc = memo[next(children).key]
-        for c in children:
-            b = memo[c.key]
+        acc = memo[id(parts[0])]
+        for c in parts[1:]:
+            b = memo[id(c)]
             pair = (id(acc), id(b))
             h = table.get(pair)
             if h is None:
                 h = op(acc, b, ctx)
                 h = table[pair] = canon.setdefault(h, h)
             acc = h
-        steps += len(node.children) - 1
-        memo[node.key] = acc
+        steps += len(parts) - 1
+        memo[id(node)] = acc
     if stats is not None:
         made = len(serial) + len(parallel)  # one entry per composition made
         stats.update(compositions=made, table_hits=steps - made, profiles=len(canon))
-    return memo[g.key]
+    return memo[id(g)]
 
 
 def accepts(h: Profile, ctx: RecognizerCtx) -> bool:

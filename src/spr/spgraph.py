@@ -8,15 +8,30 @@ module stores graphs directly in that canonical shape, so structural equality
 coincides with graph isomorphism:
 
 * ``Bridge(a)``          -- a single edge labelled ``a``;
-* ``SNode(children)``    -- serial composition of >= 2 parts, each a bridge or
+* ``SNode(parts)``       -- serial composition of >= 2 parts, each a bridge or
   a parallel node (never a serial node), in left-to-right order;
-* ``PNode(children)``    -- parallel composition of >= 2 parts, each a bridge
-  or a serial node, kept as a sorted multiset.
+* ``PNode(parts)``       -- parallel composition of >= 2 parts, each a bridge
+  or a serial node, a multiset.
 
-Parallel children are ordered bridges-first (by label), then serial nodes
-lexicographically by their child sequence.  The order is realised by a
-canonical key string carried by every node; equality and hashing go through
-that key, which keeps deep graphs free of recursive ``__eq__`` calls.
+A node keeps its ``parts`` as built; its ``children`` are the canonical
+sequence: a serial node's parts, and a parallel node's parts sorted
+bridges-first (by label), then serial nodes lexicographically by their
+child sequence.  The order is that of a canonical key string, ``key``;
+equality and hashing go through it.  A bridge makes its key at once.  A
+serial or parallel node finds its sorted ``children`` and its key only when
+they are read, so building and evaluating a graph make neither.  Then a
+node of at most ``_SMALL`` edges joins its key from its children's and
+keeps it, as the nodes of a graph once kept theirs.  A larger one has the
+children of every parallel node below it sorted in one iterative pass
+that compares keys token by token without spelling them (``_compare``),
+and its key spelled in one walk and kept by itself alone.  So a deep graph
+needs memory linear in its size, not in the length of all its nodes' keys.
+
+Within one call, ``parse_graph`` and ``canonicalize`` build nodes through a
+table (``_node``) keyed by kind and the ids of the parts, sorted for a
+parallel node, so equal subgraphs of one text or term are one object and
+code that walks the graph (``recognizer.eval_graph``) can memoize by
+identity.  The table dies with the call: graphs of two calls share nothing.
 
 Terms (the textual syntax ``a.(b||c)``) are also a free AST, which grammar
 rule right-hand sides use with nonterminal leaves: ``Atom`` and ``Ref``
@@ -33,18 +48,18 @@ pair ``(leaf, k)`` for the grammar reader to count); for graph text
 (``parse_graph``) the canonical node at once, so no term is made.
 ``canonicalize`` turns a term into its graph the same way, also decision
 witnesses with the graphs of their nonterminal leaves.  Both build every
-node of a graph once, from all the parts of its flattened layer, so n edges
-cost time linear in n plus the length of the keys (and one sort per
-parallel layer), however ``.`` and ``||`` associate;
-``compose_serial``/``compose_parallel`` copy their operands' children and
-suit composing a few graphs, not building one.
+distinct node of a graph once, from all the parts of its flattened layer,
+so n edges cost time linear in n (and one sort of part ids per parallel
+layer), however ``.`` and ``||`` associate;
+``compose_serial``/``compose_parallel`` copy their operands' parts, share
+no table and suit composing a few graphs, not building one.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, cmp_to_key, partial
 from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
@@ -227,21 +242,35 @@ def fold_flat(t: Term, atom, ref, ser, par):
 
 
 class SPGraph:
-    """Base class for canonical decomposition-tree nodes."""
+    """Base class for canonical decomposition-tree nodes.
 
-    __slots__ = ("key", "edges", "_hash")
+    Equality and hashing go through ``key``, the canonical key string (see
+    the module docstring).  A bridge makes its key at once; a serial or
+    parallel node spells it the first time it is read (``_spell``) and
+    keeps it, while the nodes below keep theirs only if read themselves or
+    small (``_keyed``)."""
 
-    key: str
+    __slots__ = ("edges", "_key")
+
     edges: int
 
+    @property
+    def key(self) -> str:
+        k = self._key
+        if k is None:
+            k = self._key = _spell(self)
+        return k
+
     def __eq__(self, other):
-        return self is other or (isinstance(other, SPGraph) and self.key == other.key)
+        return self is other or (
+            isinstance(other, SPGraph) and self.edges == other.edges and self.key == other.key
+        )
 
     def __ne__(self, other):
         return not self.__eq__(other)
 
     def __hash__(self):
-        return self._hash
+        return hash(self.key)  # a string keeps its hash
 
     def __repr__(self):
         return f"<sp {format_graph(self)}>"
@@ -257,45 +286,60 @@ class Bridge(SPGraph):
         if not LABEL_RE.match(label):
             raise ValueError(f"bad edge label {label!r}")
         self.label = label
-        self.key = "b:" + label + ";"
+        self._key = "b:" + label + ";"
         self.edges = 1
-        self._hash = hash(self.key)
 
 
-_key = attrgetter("key")
+_key_of = attrgetter("_key")
 _edges = attrgetter("edges")
 
 
 class SNode(SPGraph):
-    __slots__ = ("children",)
+    """A serial layer; its ``parts`` are its ``children``, left to right."""
 
-    def __init__(self, children: tuple):
-        if len(children) < 2:
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        if len(parts) < 2:
             raise ValueError("serial node needs at least two parts")
-        if not _SERIAL_PARTS.issuperset(map(type, children)):
-            for c in children:
+        if not _SERIAL_PARTS.issuperset(map(type, parts)):
+            for c in parts:
                 if isinstance(c, SNode) or not isinstance(c, SPGraph):
                     raise ValueError("serial children must be bridges or parallel nodes")
-        self.children = children
-        self.key = "s(" + "".join(map(_key, children)) + ")"
-        self.edges = sum(map(_edges, children))
-        self._hash = hash(self.key)
+        self.parts = parts
+        self.edges = sum(map(_edges, parts))
+        self._key = None
+
+    @property
+    def children(self) -> tuple:
+        return self.parts
 
 
 class PNode(SPGraph):
-    __slots__ = ("children",)
+    """A parallel layer: ``parts`` in the order it was built from, and
+    ``children``, the same multiset sorted by key, found the first time it
+    is read."""
 
-    def __init__(self, children: tuple):
-        if len(children) < 2:
+    __slots__ = ("parts", "_children")
+
+    def __init__(self, parts: tuple):
+        if len(parts) < 2:
             raise ValueError("parallel node needs at least two parts")
-        if not _PARALLEL_PARTS.issuperset(map(type, children)):
-            for c in children:
+        if not _PARALLEL_PARTS.issuperset(map(type, parts)):
+            for c in parts:
                 if isinstance(c, PNode) or not isinstance(c, SPGraph):
                     raise ValueError("parallel children must be bridges or serial nodes")
-        self.children = children = tuple(sorted(children, key=_key))
-        self.key = "p(" + "".join(map(_key, children)) + ")"
-        self.edges = sum(map(_edges, children))
-        self._hash = hash(self.key)
+        self.parts = parts
+        self.edges = sum(map(_edges, parts))
+        self._key = self._children = None
+
+    @property
+    def children(self) -> tuple:
+        c = self._children
+        if c is None:
+            _sort_below(self)
+            c = self._children
+        return c
 
 
 # the child types each node accepts at a glance; any other child goes
@@ -304,26 +348,172 @@ _SERIAL_PARTS = frozenset((Bridge, PNode))
 _PARALLEL_PARTS = frozenset((Bridge, SNode))
 
 
-def _join(node, parts) -> SPGraph:
-    """One ``node`` of ``parts``, each part of the node's kind spliced in."""
+# A node of at most this many edges is given its key when it is sorted:
+# an edge then lies in the kept keys of at most this many nodes above it,
+# so memory stays linear in the graph, and small graphs sort and compare
+# by key strings
+_SMALL = 64
+
+
+def _keyed(x: SPGraph) -> str:
+    """The key of ``x``, a node of at most ``_SMALL`` edges, which it keeps:
+    joined from its children's keys, a parallel node's parts sorted by them
+    first.  Recursive, as deep as ``x`` has edges at most."""
+    k = x._key
+    if k is None:
+        if isinstance(x, PNode):
+            x._children = tuple(sorted(x.parts, key=_keyed))
+            k = "p(" + "".join(map(_key_of, x._children)) + ")"
+        else:
+            k = "s(" + "".join(map(_keyed, x.parts)) + ")"
+        x._key = k
+    return k
+
+
+def _sort_below(g: SPGraph) -> None:
+    """Sort the parts of every parallel node of ``g`` that has no
+    ``children`` yet, each after the nodes below it (which ``_compare``
+    reads); a node of at most ``_SMALL`` edges is sorted and keyed by
+    ``_keyed``.  Iterative, each node once; it stops at a node with a key
+    and at a sorted parallel node, as everything below one is sorted."""
+    if g.edges <= _SMALL:
+        _keyed(g)
+        return
+    done: set = set()
+    stack = [g]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        large = []
+        for c in node.parts:
+            if c._key is None and id(c) not in done and (isinstance(c, SNode) or c._children is None):
+                if c.edges <= _SMALL:
+                    _keyed(c)
+                else:
+                    large.append(c)
+        if large:
+            stack += large
+            continue
+        stack.pop()
+        done.add(id(node))
+        if isinstance(node, PNode) and node._children is None:
+            node._children = _sorted_parts(node.parts)
+
+
+def _sorted_parts(parts: tuple) -> tuple:
+    """The parts of a parallel node in key order: by key if each has one,
+    else bridges first, by key, then the serial nodes by ``_compare``."""
+    if None not in map(_key_of, parts):
+        return tuple(sorted(parts, key=_key_of))
+    bridges = sorted((c for c in parts if isinstance(c, Bridge)), key=_key_of)
+    serials = sorted((c for c in parts if not isinstance(c, Bridge)), key=_by_key)
+    return (*bridges, *serials)
+
+
+def _head(x) -> str:
+    """The first token of the key of ``x``, or ``x`` itself if it is a
+    token: a bridge's key, a layer's ``s(`` or ``p(``, or ``)``."""
+    if type(x) is str:
+        return x
+    if isinstance(x, Bridge):
+        return x._key
+    return "s(" if isinstance(x, SNode) else "p("
+
+
+def _compare(x: SPGraph, y: SPGraph) -> int:
+    """-1, 0 or 1 as the key of ``x`` sorts before, with or after that of
+    ``y``, read from both graphs a token at a time without spelling either:
+    a bridge's key, a layer's ``s(`` or ``p(``, its children and its ``)``.
+    Keys are prefix-free, so the first two tokens that differ decide; a
+    node met on both sides, or two nodes whose keys are spelled, are
+    compared whole.  The parallel nodes of both graphs must be sorted."""
+    xs, ys = [x], [y]
+    while xs:
+        a, b = xs.pop(), ys.pop()
+        if a is b:
+            continue
+        ka = a if type(a) is str else a._key
+        kb = b if type(b) is str else b._key
+        if ka is not None and kb is not None:
+            if ka != kb:
+                return -1 if ka < kb else 1
+            continue
+        ha, hb = _head(a), _head(b)
+        if ha != hb:
+            return -1 if ha < hb else 1
+        xs.append(")")
+        xs += reversed(a.children)
+        ys.append(")")
+        ys += reversed(b.children)
+    return 0
+
+
+_by_key = cmp_to_key(_compare)
+
+
+def _spell(g: SPGraph) -> str:
+    """The key of the layer ``g``: that of ``_keyed`` if ``g`` is small, else
+    written in one walk, a bridge's key, a layer's ``s(`` or ``p(``, its
+    children and its ``)``, a node whose key is spelled already copied
+    whole."""
+    if g.edges <= _SMALL:
+        return _keyed(g)
+    _sort_below(g)
+    out: list = []
+    stack = [g]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+        elif x._key is not None:
+            out.append(x._key)
+        else:
+            out.append(_head(x))
+            stack.append(")")
+            stack += reversed(x.children)
+    return "".join(out)
+
+
+def _splice(node, parts) -> tuple:
+    """``parts``, each part of the kind ``node`` replaced by its parts."""
     out: list = []
     for x in parts:
-        out += x.children if type(x) is node else (x,)
-    return node(tuple(out))
+        out += x.parts if type(x) is node else (x,)
+    return tuple(out)
 
 
-_join_serial = partial(_join, SNode)
-_join_parallel = partial(_join, PNode)
+def _node(made: dict, kind, parts) -> SPGraph:
+    """The node of ``kind`` of ``parts`` from ``made``, the node table of
+    one call; one part is itself.  The table maps the kind and the ids of
+    the parts (sorted for a parallel node, whose parts are a multiset) to a
+    node, so each distinct subgraph of the call is built once, with the
+    parts it first had, and equal subgraphs are one object.  The nodes keep
+    their parts alive, so the ids stay theirs."""
+    if len(parts) == 1:
+        return parts[0]
+    ids = map(id, parts)
+    key = (kind, *(sorted(ids) if kind is PNode else ids))
+    g = made.get(key)
+    if g is None:
+        g = made[key] = kind(tuple(parts))
+    return g
+
+
+def _join(made: dict, kind, parts) -> SPGraph:
+    """``_node`` of ``parts``, each part of ``kind`` spliced in."""
+    return _node(made, kind, _splice(kind, parts))
 
 
 def compose_serial(a: SPGraph, b: SPGraph) -> SPGraph:
     """Serial composition; flattens nested serial layers."""
-    return _join_serial((a, b))
+    return SNode(_splice(SNode, (a, b)))
 
 
 def compose_parallel(a: SPGraph, b: SPGraph) -> SPGraph:
-    """Parallel composition; flattens nested parallel layers and re-sorts."""
-    return _join_parallel((a, b))
+    """Parallel composition; flattens nested parallel layers."""
+    return PNode(_splice(PNode, (a, b)))
 
 
 def edge_count(g: SPGraph) -> int:
@@ -343,8 +533,9 @@ def canonicalize(t: Term, ref=_not_ground) -> SPGraph:
     """Turn a term into its canonical decomposition tree, each nonterminal
     leaf, left to right, into the graph ``ref(name)`` (by default rejected).
 
-    Each flattened layer (``fold_flat``) is one ``_join``, so every node is
-    built once; the work is linear in the term, the keys and the children
+    Each flattened layer (``fold_flat``) is one node of a table of this
+    call (``_node``), so every distinct node is built once and equal
+    subgraphs are one object; the work is linear in the term and the parts
     of spliced ``ref`` graphs."""
     bridges: dict[str, Bridge] = {}
 
@@ -354,7 +545,8 @@ def canonicalize(t: Term, ref=_not_ground) -> SPGraph:
             b = bridges[label] = Bridge(label)
         return b
 
-    return fold_flat(t, bridge, ref, _join_serial, _join_parallel)
+    made: dict = {}  # the node table (``_node``)
+    return fold_flat(t, bridge, ref, partial(_join, made, SNode), partial(_join, made, PNode))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +600,6 @@ _TERM_BUILDERS = (
     _layer(partial(tuple.__new__, Serial)),
     _layer(partial(tuple.__new__, Parallel)),
 )
-_GRAPH_BUILDERS = (Bridge, _layer(SNode), _layer(PNode))
 
 
 class _TermParser:
@@ -427,12 +618,13 @@ class _TermParser:
     bodies share ``leaves``), and ``x^k`` the layer of k copies of ``x``'s
     leaf; ``parse(counts=True)`` keeps it as the pair ``(leaf, k)``, so an
     exponent costs its digits, not its value.
-    ``parse(graph=True)`` builds the canonical graph directly.  There a
-    parenthesised layer that is an operand of a layer of its own kind is
-    not built at all: its parts stay where they are and join the enclosing
-    layer, so a graph of n edges costs time linear in n however its text
-    associates.  Open groups live on explicit stacks rather than the Python
-    call stack, so nesting depth is bounded by memory only.
+    ``parse(graph=True)`` builds the canonical graph directly, through one
+    node table (``_node``), so equal subgraphs of the text are one node.
+    There a parenthesised layer that is an operand of a layer of its own
+    kind is not built at all: its parts stay where they are and join the
+    enclosing layer, so a graph of n edges costs time linear in n however
+    its text associates.  Open groups live on explicit stacks rather than
+    the Python call stack, so nesting depth is bounded by memory only.
 
     The parser reads bare words from one scan of the text (``_words``) and
     computes positions only for an error: ``error`` then tokenizes the text,
@@ -473,7 +665,11 @@ class _TermParser:
     def parse(self, graph: bool = False, counts: bool = False):
         """The term the tokens spell or, with ``graph``, its canonical
         graph; with ``counts``, each exponent stays the pair ``(leaf, k)``."""
-        atom, ser, par = _GRAPH_BUILDERS if graph else _TERM_BUILDERS
+        if graph:  # one node table for the text
+            made: dict = {}
+            atom, ser, par = Bridge, partial(_node, made, SNode), partial(_node, made, PNode)
+        else:
+            atom, ser, par = _TERM_BUILDERS
         leaves = self.leaves
         words = [*self.words, None]  # None: the end of input
         # the serial parts of every open factor and the parallel parts of
@@ -503,8 +699,8 @@ class _TermParser:
                 tok = words[i]
             sers.append(t)
             while tok != ".":  # t ends a factor: close what it ends
-                if tok == "||":
-                    pars.append(ser(sers[s0:]))
+                if tok == "||":  # a factor of one part is that part
+                    pars.append(sers.pop() if len(sers) == s0 + 1 else ser(sers[s0:]))
                     del sers[s0:]
                     break
                 if not outer:
@@ -580,30 +776,38 @@ def parse_graph(text: str) -> SPGraph:
 
 
 def format_graph(g: SPGraph) -> str:
-    """Render a canonical graph in the term syntax (parse/format round-trips)."""
-    out: dict[str, str] = {}
-    stack = [g]
+    """Render a canonical graph in the term syntax (parse/format round-trips)
+    in one walk, each parallel node's children in key order.  The text of
+    a layer of bridges alone is made once per node and joined at once."""
+    if isinstance(g, Bridge):
+        return g.label
+    _sort_below(g)
+    flat: dict = {}  # id of a layer of bridges -> its text
+    out: list = []
+    stack: list = [g]
     while stack:
-        node = stack.pop()
-        if node.key in out:
-            continue
-        if isinstance(node, Bridge):
-            out[node.key] = node.label
-            continue
-        pending = [c for c in node.children if c.key not in out]
-        if pending:
-            stack.append(node)
-            stack.extend(pending)
-            continue
-        if isinstance(node, SNode):
-            parts = [
-                "(" + out[c.key] + ")" if isinstance(c, PNode) else out[c.key]
-                for c in node.children
-            ]
-            out[node.key] = " . ".join(parts)
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+        elif isinstance(x, Bridge):
+            out.append(x.label)
+        elif id(x) in flat:
+            out.append(flat[id(x)])
         else:
-            out[node.key] = " || ".join(out[c.key] for c in node.children)
-    return out[g.key]
+            serial = isinstance(x, SNode)
+            parts = x.parts if serial else x.children
+            if _BRIDGES.issuperset(map(type, parts)):
+                text = flat[id(x)] = (" . " if serial else " || ").join([c.label for c in parts])
+                out.append(text)
+                continue
+            items: list = []
+            for c in parts:
+                items += (" . ", "(", c, ")") if isinstance(c, PNode) else (" . " if serial else " || ", c)
+            stack += reversed(items[1:])
+    return "".join(out)
+
+
+_BRIDGES = frozenset((Bridge,))
 
 
 # A term's text is the pair (text, its top operator or None for a leaf).

@@ -138,11 +138,16 @@ def test_member_json(gfile, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data == {"member": True, "graph": "b",
                     "stats": {"compositions": 0, "table_hits": 0, "profiles": 1}}
-    # eval_graph's effort: the last of the three parallel steps repeats a
-    # pair of profiles that the second made
-    assert run(["--json", "member", "-g", gfile(GAB_TEXT), "-t", "a || b || a || b"]) == 1
+    # eval_graph's effort: a layer folds its parts in text order, so in
+    # a || a || b || b the last of the three parallel steps repeats a pair
+    # of profiles that the second made, and in a || b || a || b none does
+    assert run(["--json", "member", "-g", gfile(GAB_TEXT), "-t", "a || a || b || b"]) == 1
     assert json.loads(capsys.readouterr().out)["stats"] == {
         "compositions": 2, "table_hits": 1, "profiles": 3}
+    assert run(["--json", "member", "-g", gfile(GAB_TEXT), "-t", "a || b || a || b"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["graph"] == "a || a || b || b"
+    assert data["stats"] == {"compositions": 3, "table_hits": 0, "profiles": 4}
 
 
 # ---------------------------------------------------------------------------

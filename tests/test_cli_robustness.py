@@ -160,13 +160,13 @@ needs_proc = pytest.mark.skipif(
 )
 
 
-def run_limited(args, timeout, headroom_mb=64):
+def run_limited(args, timeout, headroom_mb=64, stdin=""):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-c", LIMITED, str(headroom_mb), *args],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        input=stdin, capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -180,6 +180,35 @@ def test_running_out_of_memory_ends_in_exit_2(tmp_path):
     proc = run_limited(["stats", str(grammar)], timeout=120, headroom_mb=16)
     assert (proc.returncode, proc.stderr) == (2, "error: out of memory (try a smaller --cap)\n")
     assert proc.stdout == ""
+
+
+UNIVERSAL = """\
+alphabet: a b
+pnonterminals: p
+snonterminals: s
+axioms: p s
+rules:
+p -> p || s
+p -> s || s
+s -> p . s
+s -> p . p
+p -> a
+p -> b
+s -> a
+s -> b
+"""
+
+
+@needs_proc
+def test_member_of_a_deep_alternating_nest_stays_small(tmp_path):
+    # 32,000 edges nested serial and parallel in turn; a node that kept its
+    # key string would need gigabytes, and only --json prints the graph back
+    grammar = tmp_path / "univ.spg"
+    grammar.write_text(UNIVERSAL)
+    levels = 31999
+    term = "".join(("a . (", "a || (")[i % 2] for i in range(levels)) + "a" + ")" * levels
+    proc = run_limited(["member", "-g", str(grammar), "-t", "-"], timeout=120, stdin=term)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "true\n")
 
 
 NINE_DIGITS = """\

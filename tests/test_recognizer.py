@@ -635,25 +635,26 @@ def test_zero_sides_give_the_term_mul_product(packed, request, monkeypatch):
 
 def _eval_every_child(g, ctx, pairs, met):
     """``eval_graph`` without tables: one ``op_serial``/``op_parallel`` call
-    per child after the first.  Each call is recorded in ``pairs`` as
-    ``(op, h1, h2)``, and every bridge profile and result in ``met``."""
+    per part after the first, each node once (memoized by identity), its
+    parts in the order they were built.  Each call is recorded in ``pairs``
+    as ``(op, h1, h2)``, and every bridge profile and result in ``met``."""
     memo = {}
 
     def ev(node):
-        if node.key not in memo:
+        if id(node) not in memo:
             if isinstance(node, Bridge):
                 acc = bridge_profile(node.label, ctx)
                 met.append(acc)
             else:
                 op = op_serial if isinstance(node, SNode) else op_parallel
-                acc = ev(node.children[0])
-                for c in node.children[1:]:
+                acc = ev(node.parts[0])
+                for c in node.parts[1:]:
                     b = ev(c)
                     pairs.append((op, acc, b))
                     acc = op(acc, b, ctx)
                     met.append(acc)
-            memo[node.key] = acc
-        return memo[node.key]
+            memo[id(node)] = acc
+        return memo[id(node)]
 
     return ev(g)
 
