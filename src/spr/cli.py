@@ -260,6 +260,8 @@ def run(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.cap < 0:
         ap.error(f"argument --cap: must not be negative, got {args.cap}")
+    if getattr(args, "edges", 0) < 0:
+        ap.error(f"argument -n/--edges: must not be negative, got {args.edges}")
     try:
         return args.handler(args)
     except CapExceeded as e:

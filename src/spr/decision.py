@@ -5,8 +5,9 @@ saturations, and every saturation is one loop, ``_lightest``: Knuth's
 lightest-derivation search, which evaluates every derivation of a grammar
 into a finite algebra and keeps an edge-minimal derivation per (nonterminal,
 value).  A settled derivation is stored as back-pointers (its rule body and
-the settled entries it combines), not as a graph; ``_witness`` builds the
-graph of an entry with ``spgraph.canonicalize``, only when asked for it.
+the settled entries it combines), not as a graph.  Only when asked for it,
+``_witnesses`` substitutes them into one ground term of the derivation
+(``spgraph.substitute``) and canonicalizes that once.
 
 Every search runs in one algebra, ``_search_ops``: the product of the
 profile algebras of some contexts, whose values are tuples with one profile
@@ -55,16 +56,14 @@ from .recognizer import (
     op_serial,
 )
 from .spgraph import (
-    Atom,
-    Parallel,
     Ref,
-    Serial,
     SPGraph,
-    canonicalize,
+    _canonicalizer,
     compose_parallel,  # not called here: perfbench/spans.py traces these two by name
     compose_serial,
     fold_term,
     graph_order,
+    substitute,
 )
 from .termalg import Bounded, Periodic
 
@@ -81,10 +80,11 @@ class DecisionResult:
     ``spgraph.graph_order``; unpacks like (holds, witness).
 
     ``stats`` carries the effort: ``profiles_explored`` (distinct values
-    settled), ``iterations`` (heap pops), and wall-clock milliseconds spent
-    in the saturation (``saturation_ms``), in building the witness
-    (``witness_ms``) and in the whole call (``wall_ms``, which also covers
-    compiling the recognizers and reading off the verdict).
+    settled), ``iterations`` (heap pops), ``compositions`` (distinct pairs
+    of values composed, the search tables' entries), and wall-clock
+    milliseconds spent in the saturation (``saturation_ms``), in building
+    the witness (``witness_ms``) and in the whole call (``wall_ms``, which
+    also covers compiling the recognizers and reading off the verdict).
     """
 
     holds: bool
@@ -122,7 +122,7 @@ def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None, goal=None) -> di
 
     An entry is ``(value, edges, body, combo)``: the rule body that derived
     it and the entries of its nonterminal occurrences, left to right.  These
-    back-pointers stand in for the graph, which :func:`_witness` builds on
+    back-pointers stand in for the graph, which :func:`_witnesses` builds on
     demand.
 
     With ``goal``, the first settled (x, value) with ``goal(x, value)`` fixes
@@ -192,30 +192,40 @@ def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None, goal=None) -> di
     return settled
 
 
-def _witness(entry, built: dict) -> SPGraph:
-    """The graph of a settled entry of :func:`_lightest`: its rule body
-    canonicalized with each nonterminal leaf bound to the graph of the
-    entry it points to, so each layer of the body is one node.
+def _witnesses():
+    """``witness(entry)``, the graph of a settled entry of :func:`_lightest`,
+    for one caller's use of the entries (which keep their ids alive): the
+    ground term of its derivation, each rule body with its nonterminal
+    leaves replaced by the terms of the entries they point to
+    (``substitute``), canonicalized once, so each flattened layer of the
+    whole derivation is one node.
 
-    ``built`` maps ``id(entry)`` to graphs already built, for the length of
-    one caller's use of the entries (which keep those ids alive), so an
-    entry shared by several derivations is built once.  Iterative, so deep
-    derivations do not hit the recursion limit.
+    The entries' terms and one ``_canonicalizer`` are kept from call to
+    call, so an entry shared by several derivations is substituted once
+    and a layer shared by several witnesses is built once; an entry without
+    nonterminal leaves is its body.  Iterative, so deep derivations do not
+    hit the recursion limit.
     """
-    stack = [entry]
-    while stack:
-        e = stack[-1]
-        if id(e) in built:
+    terms: dict = {}
+    canonical = _canonicalizer()
+
+    def witness(entry) -> SPGraph:
+        stack = [entry]
+        while stack:
+            e = stack[-1]
+            if id(e) in terms:
+                stack.pop()
+                continue
+            todo = [c for c in e[3] if id(c) not in terms]
+            if todo:
+                stack += todo
+                continue
             stack.pop()
-            continue
-        todo = [c for c in e[3] if id(c) not in built]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        it = iter(e[3])
-        built[id(e)] = canonicalize(e[2], lambda _: built[id(next(it))])
-    return built[id(entry)]
+            it = iter(e[3])
+            terms[id(e)] = substitute(e[2], lambda _: terms[id(next(it))]) if e[3] else e[2]
+        return canonical(terms[id(entry)])
+
+    return witness
 
 
 def _search_ops(ctxs, stats: dict) -> tuple:
@@ -269,10 +279,8 @@ def _decide(g: Grammar, ctxs, found, cap, t0: float) -> DecisionResult:
     t2 = time.perf_counter()
     hits = [e for x in axioms for v, e in values[x].items() if found(v)]
     fewest = min((e[1] for e in hits), default=None)
-    built: dict = {}
-    witness = min(
-        (_witness(e, built) for e in hits if e[1] == fewest), key=graph_order, default=None
-    )
+    build = _witnesses()
+    witness = min((build(e) for e in hits if e[1] == fewest), key=graph_order, default=None)
     t3 = time.perf_counter()
     stats = {
         "profiles_explored": effort["settled"],
@@ -301,8 +309,8 @@ def derivable_values(
     if stats is None:
         stats = {}
     values = _lightest(g, *_search_ops([ctx], stats), cap, stats)
-    built: dict = {}
-    return {x: {v[0]: _witness(e, built) for v, e in vs.items()} for x, vs in values.items()}
+    build = _witnesses()
+    return {x: {v[0]: build(e) for v, e in vs.items()} for x, vs in values.items()}
 
 
 def _check_alphabet(g: Grammar, ctx: RecognizerCtx) -> None:
@@ -386,7 +394,7 @@ def filter_grammar(
             it = iter(vals)
             (value,) = fold_term(t, atom, lambda _: (next(it),), ser, par)
             it = iter(vname[y][v] for y, v in zip(occ, vals))
-            body = fold_term(t, Atom, lambda _: Ref(next(it)), Serial, Parallel)
+            body = substitute(t, lambda _: Ref(next(it)))
             rules.append(RuleFree(vname[r.lhs][value], body))
 
     axioms = []

@@ -31,28 +31,32 @@ Within one call, ``parse_graph`` and ``canonicalize`` build nodes through a
 table (``_node``) keyed by kind and the ids of the parts, sorted for a
 parallel node, so equal subgraphs of one text or term are one object and
 code that walks the graph (``recognizer.eval_graph``) can memoize by
-identity.  The table dies with the call: graphs of two calls share nothing.
+identity.  The table dies with the call: graphs of two calls share
+nothing, except the calls of one ``_canonicalizer``, which the witnesses
+of one decision share.
 
 Terms (the textual syntax ``a.(b||c)``) are also a free AST, which grammar
 rule right-hand sides use with nonterminal leaves: ``Atom`` and ``Ref``
 leaves, and ``Serial``/``Parallel`` layers of two or more parts.  A layer
 denotes its left fold: ``Serial(a, b, c)`` equals ``Serial(Serial(a, b), c)``,
 which ``fold_term`` folds exactly; ``fold_flat`` folds associatively, a
-layer and its nested layers of its own kind in one call.  One reader serves
-terms and graphs.  It reads the bare words of one ``re.findall`` over the
-text and works out a line and column only for an error, by tokenizing the
-text then.  It collects each layer's parts and hands them, when the layer
-closes, to a builder of the layer's kind: for a term or a rule body a
-``Serial``/``Parallel`` layer (a rule body's exponent ``s^k`` may stay the
-pair ``(leaf, k)`` for the grammar reader to count); for graph text
-(``parse_graph``) the canonical node at once, so no term is made.
-``canonicalize`` turns a term into its graph the same way, also decision
-witnesses with the graphs of their nonterminal leaves.  Both build every
-distinct node of a graph once, from all the parts of its flattened layer,
-so n edges cost time linear in n (and one sort of part ids per parallel
-layer), however ``.`` and ``||`` associate;
-``compose_serial``/``compose_parallel`` copy their operands' parts, share
-no table and suit composing a few graphs, not building one.
+layer and its nested layers of its own kind in one call, and a layer term
+met twice once.  One reader serves terms and graphs.  It reads the bare
+words of one ``re.findall`` over the text and works out a line and column
+only for an error, by tokenizing the text then.  It collects each layer's
+parts and hands them, when the layer closes, to a builder of the layer's
+kind: for a term or a rule body a ``Serial``/``Parallel`` layer (a rule
+body's exponent ``s^k`` may stay the pair ``(leaf, k)`` for the grammar
+reader to count); for graph text (``parse_graph``) the canonical node at
+once, so no term is made.
+``canonicalize`` turns a ground term into its graph the same way; a
+decision witness is the one ground term that ``substitute`` makes of its
+derivation, canonicalized once.  Both build every distinct node of a graph
+once, from all the parts of its flattened layer, so n edges cost time
+linear in n (and one sort of part ids per parallel layer), however ``.``
+and ``||`` associate; ``compose_serial``/``compose_parallel`` copy their
+operands' parts, share no table and suit composing a few graphs, not
+building one.
 """
 
 from __future__ import annotations
@@ -209,11 +213,20 @@ def _flat(layer) -> tuple:
     return tuple(out)
 
 
-def fold_flat(t: Term, atom, ref, ser, par):
+def fold_flat(t: Term, atom, ref, ser, par, memo=None):
     """Fold a term where grouping does not matter: leaves as in
     ``fold_term``, and each layer, flattened as by ``_flat``, one call
     ``ser(parts)`` or ``par(parts)`` with the list of its folded parts.
-    Iterative; the stack holds (callback, start of the parts in ``out``)."""
+    Iterative; the stack holds (callback, start of the parts in ``out``,
+    the layer's term).
+
+    The fold of each layer is kept in ``memo`` (a dict of this call unless
+    given) under the id of the term that opens it: ``t``, or a layer inside
+    one of the other kind.  A term met again, in this call or in a later one
+    given the same ``memo``, is not walked again, so a term that shares
+    subterms costs its distinct layers."""
+    if memo is None:
+        memo = {}
     out: list = []
     stack: list = [t]
     kinds: list = [None]  # the kind of each open layer, innermost last
@@ -225,15 +238,28 @@ def fold_flat(t: Term, atom, ref, ser, par):
         elif kind is Atom:
             out.append(atom(node.label))
         elif kind is tuple:
-            op, i = node
+            op, i, layer = node
             out[i:] = [op(out[i:])]
+            memo[id(layer)] = layer, out[-1]  # kept with the term, so its id stays its own
             kinds.pop()
         else:
             if kind is not kinds[-1]:  # not a group inside a layer of its kind
-                stack.append((ser if kind is Serial else par, len(out)))
+                done = memo.get(id(node))
+                if done is not None:
+                    out.append(done[1])
+                    continue
+                stack.append((ser if kind is Serial else par, len(out), node))
                 kinds.append(kind)
             stack += node[::-1]
     return out[0]
+
+
+def substitute(t: Term, ref) -> Term:
+    """``t`` with each ``Ref`` leaf, left to right, replaced by the term
+    ``ref(name)``.  One exact ``fold_term`` walk: each layer comes back as
+    its binary left fold, an equal term, so grouping is kept and
+    ``substitute(t, Ref) == t``."""
+    return fold_term(t, Atom, ref, Serial, Parallel)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +527,6 @@ def _node(made: dict, kind, parts) -> SPGraph:
     return g
 
 
-def _join(made: dict, kind, parts) -> SPGraph:
-    """``_node`` of ``parts``, each part of ``kind`` spliced in."""
-    return _node(made, kind, _splice(kind, parts))
-
-
 def compose_serial(a: SPGraph, b: SPGraph) -> SPGraph:
     """Serial composition; flattens nested serial layers."""
     return SNode(_splice(SNode, (a, b)))
@@ -529,14 +550,22 @@ def _not_ground(name: str):
     raise ValueError(f"term is not ground: nonterminal {name!r}")
 
 
-def canonicalize(t: Term, ref=_not_ground) -> SPGraph:
-    """Turn a term into its canonical decomposition tree, each nonterminal
-    leaf, left to right, into the graph ``ref(name)`` (by default rejected).
+def canonicalize(t: Term) -> SPGraph:
+    """Turn a ground term into its canonical decomposition tree; a
+    nonterminal leaf raises ``ValueError`` (``substitute`` binds them first).
 
     Each flattened layer (``fold_flat``) is one node of a table of this
     call (``_node``), so every distinct node is built once and equal
-    subgraphs are one object; the work is linear in the term and the parts
-    of spliced ``ref`` graphs."""
+    subgraphs are one object; the work is linear in the term, a layer term
+    that occurs more than once counted once."""
+    return _canonicalizer()(t)
+
+
+def _canonicalizer():
+    """``canonicalize`` for many terms of one caller that share subterms:
+    its calls share one bridge per label, one node table (``_node``) and one
+    ``fold_flat`` memo, so a layer term met in an earlier call is its node
+    at once."""
     bridges: dict[str, Bridge] = {}
 
     def bridge(label):
@@ -546,7 +575,9 @@ def canonicalize(t: Term, ref=_not_ground) -> SPGraph:
         return b
 
     made: dict = {}  # the node table (``_node``)
-    return fold_flat(t, bridge, ref, partial(_join, made, SNode), partial(_join, made, PNode))
+    memo: dict = {}
+    ser, par = partial(_node, made, SNode), partial(_node, made, PNode)
+    return lambda t: fold_flat(t, bridge, _not_ground, ser, par, memo)
 
 
 # ---------------------------------------------------------------------------

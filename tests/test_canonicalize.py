@@ -1,7 +1,7 @@
 """One-pass canonicalization against the pairwise composition it replaced:
-equal graphs for every association, with nonterminal leaves bound to graphs
-too, one node construction per node of the result, and ``random_graph``
-unchanged seed for seed."""
+equal graphs for every association, with nonterminal leaves substituted by
+the terms of graphs too, one node construction per node of the result, and
+``random_graph`` unchanged seed for seed."""
 
 import random
 from functools import reduce
@@ -18,6 +18,7 @@ from spr.spgraph import (
     Ref,
     Serial,
     SNode,
+    _canonicalizer,
     _not_ground,
     canonicalize,
     compose_parallel,
@@ -25,7 +26,9 @@ from spr.spgraph import (
     fold_term,
     format_graph,
     parse_graph,
+    parse_term,
     random_graph,
+    substitute,
 )
 
 # ---------------------------------------------------------------------------
@@ -133,7 +136,7 @@ def test_nonterminal_leaves_raise_the_same_error(how, node):
 
 
 # ---------------------------------------------------------------------------
-# nonterminal leaves bound to graphs
+# nonterminal leaves substituted by the terms of graphs
 # ---------------------------------------------------------------------------
 
 open_terms = st.recursive(
@@ -146,7 +149,8 @@ open_terms = st.recursive(
 def test_bound_nonterminals_agree_with_pairwise_composition(t, seed):
     rng = random.Random(seed)
     graphs = {name: random_graph(rng, rng.randint(1, 12), "abc") for name in "xyz"}
-    g = canonicalize(t, graphs.__getitem__)
+    terms = {name: parse_term(format_graph(g)) for name, g in graphs.items()}
+    g = canonicalize(substitute(t, terms.__getitem__))
     want = fold_term(t, Bridge, graphs.__getitem__, compose_serial, compose_parallel)
     assert g.key == want.key
     assert g.edges == want.edges
@@ -157,10 +161,19 @@ def test_bound_nonterminals_agree_with_pairwise_composition(t, seed):
 def test_a_bound_graph_of_the_layers_kind_joins_the_layer(node, text, how):
     bound = parse_graph(text)
     t = associate([Atom("b"), Ref("x"), Atom("c"), Ref("x")], how, node)
-    g = canonicalize(t, lambda _: bound)
+    term = parse_term(format_graph(bound))
+    g = canonicalize(substitute(t, lambda _: term))
     assert g == fold_term(t, Bridge, lambda _: bound, compose_serial, compose_parallel)
     assert type(g) is type(bound)
     assert len(g.children) == 2 + 2 * len(bound.children)
+
+
+def test_a_canonicalizer_builds_a_layer_shared_by_two_terms_once():
+    x = Parallel(Atom("a"), Atom("b"))
+    canonical = _canonicalizer()
+    g1, g2 = canonical(Serial(x, Atom("a"))), canonical(Serial(Atom("b"), x))
+    assert g1.parts[0] is g2.parts[1]
+    assert g1 == parse_graph("(a || b) . a") and g2 == parse_graph("b . (a || b)")
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,13 @@ def test_negative_cap_is_a_usage_error(gfile, capsys, cmd):
     assert "argument --cap: must not be negative, got -3" in capsys.readouterr().err
 
 
+def test_negative_edge_count_is_a_usage_error(gfile, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["enumerate", "-g", gfile(UNIV_TEXT), "-n", "-3"])
+    assert exc.value.code == 2
+    assert "argument -n/--edges: must not be negative, got -3" in capsys.readouterr().err
+
+
 def test_zero_cap_keeps_its_meaning(gfile, capsys):
     assert run(["--cap", "0", "stats", gfile(UNIV_TEXT)]) == 0
     out = capsys.readouterr().out

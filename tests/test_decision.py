@@ -6,6 +6,7 @@ from collections import defaultdict
 import pytest
 
 from conftest import EVEN_CHAIN_TEXT
+from test_cli_robustness import deep_chain
 from spr import decision
 from spr.decision import (
     CapExceeded,
@@ -610,5 +611,44 @@ def test_a_long_rule_bodys_witness_is_one_node(op, monkeypatch):
     res = intersection_empty([g])
     assert not res.holds
     assert res.witness == want and res.witness.edges == 5000
-    # the body's layer, then q's and r's graphs, each built once
-    assert sorted(built) == [2, 2, 4000]
+    # the body's layer, with q's parts in it, and r's graph, built once
+    assert sorted(built) == [2, 4000]
+
+
+def test_a_deep_chains_witness_is_one_node(monkeypatch):
+    # c_i -> p . c_{i+1}: each level's serial body joins the one below, so
+    # the whole derivation is one serial layer, built once
+    n = 3000
+    g = parse_grammar(
+        "alphabet: a\npnonterminals: p\n"
+        f"snonterminals: {' '.join(f'c{i}' for i in range(n))}\naxioms: c0\nrules:\n"
+        f"p -> a\nc{n - 1} -> a\n" + "".join(f"c{i} -> p . c{i + 1}\n" for i in range(n - 1))
+    )
+    built = []
+    for cls in (SNode, PNode):
+        init = cls.__init__
+
+        def counting(self, children, init=init, cls=cls):
+            built.append((cls, len(children)))
+            init(self, children)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    res = intersection_empty([g])
+    assert not res.holds
+    assert built == [(SNode, n)]
+    assert all(type(c) is Bridge for c in res.witness.children) and res.witness.edges == n
+
+
+def test_derivable_values_share_the_layers_of_their_witnesses(univ):
+    # s_i -> p_i . a, p_i -> s_{i+1} || a: each witness is one node around
+    # the witness one level down, built once, so all of them take linear time
+    n = 2000
+    values = derivable_values(parse_grammar(deep_chain(n)), build_ctx(univ))
+    (below,) = values[f"s{n}"].values()
+    for i in reversed(range(n)):
+        (wp,) = values[f"p{i}"].values()
+        (ws,) = values[f"s{i}"].values()
+        assert wp.parts == (below, Bridge("a")) and wp.parts[0] is below
+        assert ws.parts == (wp, Bridge("a")) and ws.parts[0] is wp
+        below = ws
+    assert below.edges == 2 * n + 1

@@ -22,11 +22,13 @@ from spr.spgraph import (
     compose_serial,
     edge_count,
     enumerate_graphs,
+    fold_flat,
     format_term,
     format_graph,
     parse_graph,
     parse_term,
     random_graph,
+    substitute,
     tokenize,
 )
 
@@ -476,11 +478,53 @@ nary_terms = st.recursive(
 def test_a_layer_equals_its_left_fold(t):
     binary = left_nested(t)
     assert t == binary and not t != binary and hash(t) == hash(binary)
-    bound = {"p": Bridge("c"), "q": parse_graph("a || c")}
-    assert canonicalize(t, bound.__getitem__) == canonicalize(binary, bound.__getitem__)
+    graphs = {"p": Bridge("c"), "q": parse_graph("a || c")}
+    bound = {name: parse_term(format_graph(g)) for name, g in graphs.items()}
+    assert canonicalize(substitute(t, bound.__getitem__)) == canonicalize(
+        substitute(binary, bound.__getitem__)
+    )
     text = format_term(t)
     assert text == format_term(binary)
     assert _TermParser(text, names={"p": "P", "q": "S"}).parse() == t
+
+
+@given(nary_terms)
+def test_substituting_each_leaf_by_itself_gives_the_term(t):
+    s = substitute(t, Ref)
+    assert s == t and format_term(s) == format_term(t)
+
+
+def test_substitute_replaces_ref_leaves_left_to_right():
+    a, b = Atom("a"), Atom("b")
+    t = Parallel(Serial(Ref("p"), a, Ref("q")), Ref("p"), Serial(b, Ref("q")))
+    seen = []
+    terms = iter([b, Parallel(a, b), Serial(a, a), a])
+
+    def ref(name):
+        seen.append(name)
+        return next(terms)
+
+    s = substitute(t, ref)
+    assert seen == ["p", "q", "p", "q"]
+    assert format_term(s) == "b . a . (a || b) || a . a || b . a"
+    assert canonicalize(s) == parse_graph("b . a . (a || b) || a . a || b . a")
+
+
+def test_fold_flat_folds_a_shared_layer_once():
+    # 40 levels, each two serial layers around one shared parallel term:
+    # 3 * 2**40 - 2 edges, but 3 distinct layers per level
+    a, b = Atom("a"), Atom("b")
+    t = a
+    for _ in range(40):
+        t = Parallel(Serial(t, b), Serial(t, a))
+    calls = []
+
+    def layer(parts):
+        calls.append(len(parts))
+        return sum(parts)
+
+    assert fold_flat(t, lambda _: 1, lambda _: 1, layer, layer) == 3 * 2**40 - 2
+    assert calls == [2] * 120
 
 
 def test_layers_compare_as_their_left_fold_only():
