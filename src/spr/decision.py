@@ -14,14 +14,17 @@ profile algebras of some contexts, whose values are tuples with one profile
 per context.  Each composition law keeps a table for the search, keyed by
 the pair of whole values, so each distinct pair is composed once.
 
-The loop has two entry points.  ``_decide`` answers a yes/no question and
-stops once the edge layer of its first answer is finished; ``derivable_values``
-reads every value.
+``_decide`` answers a yes/no question and stops once the edge layer of its
+first answer is finished; ``derivable_values`` and ``filter_grammar`` read
+every value.
 
 * ``derivable_values``: the loop over the profiles of another grammar (a
   product of one context), so for every nonterminal all profiles of graphs
-  it derives, each with an edge-minimal witness.  Filtering is read off
-  from this.
+  it derives, each with an edge-minimal witness.
+* ``filter_grammar``: the same loop, read without witnesses.  Each settled
+  value is a split nonterminal, numbered in settling order, and each rule
+  is re-emitted per combination of splits, its head read off by folding the
+  body once more through the search's own tables.
 * ``inclusion``: the same loop, stopped at the first rejected axiom value.
 * ``intersection_empty``: the loop over the first grammar's derivations in
   the product of the later grammars' profile algebras, stopped at the first
@@ -371,20 +374,24 @@ def filter_grammar(
     """A grammar for the graphs of ``g1`` that ``g2`` accepts (or rejects,
     with ``mode='reject'``).
 
-    Every nonterminal of ``g1`` is split per reachable profile; rules are
-    re-emitted once per realizable combination of profiles for their
-    nonterminal occurrences, and only suitably-profiled axioms survive.
+    Every nonterminal x of ``g1`` is split per reachable profile, into
+    ``x$vN`` for the N-th value x settles in one search of ``g1``'s
+    derivations in ``g2``'s profiles: in settling order, fewest edges first,
+    then heap order, so the fewest edges ``x$vN`` derives never fall as N
+    grows.  Each rule is re-emitted once per combination of splits for its
+    occurrences, under the split of the value its body folds to through
+    that search's tables, which already hold every such composition.  Only
+    the splits of axioms whose profile ``g2`` accepts (or rejects) are
+    axioms.  No graph is built.
     """
     if mode not in ("accept", "reject"):
         raise ValueError("mode must be 'accept' or 'reject'")
     ctx2 = build_ctx(g2)
-    values = derivable_values(g1, ctx2, cap)
-    vname = {}
-    for x in g1.pnames + g1.snames:
-        ordered = sorted(values[x].items(), key=lambda vw: graph_order(vw[1]))
-        vname[x] = {v: f"{x}$v{i}" for i, (v, _) in enumerate(ordered)}
+    _check_alphabet(g1, ctx2)
+    atom, ser, par = ops = _search_ops([ctx2], {})
+    values = _lightest(g1, *ops, cap)
+    vname = {x: {v: f"{x}$v{i}" for i, v in enumerate(vs)} for x, vs in values.items()}
 
-    atom, ser, par = _search_ops([ctx2], {})
     rules = []
     for r in g1.rules:
         t = rule_rhs_term(r)
@@ -392,16 +399,12 @@ def filter_grammar(
         fold_term(t, _ignore, occ.append, _ignore, _ignore)
         for vals in itertools.product(*(values[y] for y in occ)):
             it = iter(vals)
-            (value,) = fold_term(t, atom, lambda _: (next(it),), ser, par)
+            value = fold_term(t, atom, lambda _: next(it), ser, par)
             it = iter(vname[y][v] for y, v in zip(occ, vals))
-            body = substitute(t, lambda _: Ref(next(it)))
-            rules.append(RuleFree(vname[r.lhs][value], body))
+            rules.append(RuleFree(vname[r.lhs][value], substitute(t, lambda _: Ref(next(it)))))
 
-    axioms = []
-    for x in g1.axioms:
-        for v in values[x]:
-            if accepts(v, ctx2) == (mode == "accept"):
-                axioms.append(vname[x][v])
+    keep = mode == "accept"
+    axioms = [vname[x][v] for x in g1.axioms for v in values[x] if accepts(v[0], ctx2) == keep]
     pnames = tuple(n for x in g1.pnames for n in vname[x].values())
     snames = tuple(n for x in g1.snames for n in vname[x].values())
     return Grammar(g1.alphabet, pnames, snames, tuple(axioms), tuple(rules))

@@ -116,10 +116,10 @@ class SProfile:
     module docstring), made by ``RecognizerCtx.make``: ``idx`` holds the
     S-names of its nonzero rows in increasing order and ``rows`` those rows,
     position by position.  Two profiles are equal when they belong to one
-    context and their ``idx`` and ``rows`` are equal; the hash reads
-    ``rows`` only."""
+    context and their ``idx`` and ``rows`` are equal; the hash is that of
+    ``rows``, computed once, as ``rows`` never changes after ``make``."""
 
-    __slots__ = ("idx", "rows", "space", "_pairs", "_left", "_heads", "_par")
+    __slots__ = ("idx", "rows", "space", "_hash", "_pairs", "_left", "_heads", "_par")
 
     @property
     def pairs(self) -> frozenset:
@@ -133,7 +133,9 @@ class SProfile:
         return self.space is other.space and self.rows == other.rows and self.idx == other.idx
 
     def __hash__(self):
-        return hash(self.rows)
+        if self._hash is None:
+            self._hash = hash(self.rows)
+        return self._hash
 
     def __str__(self):
         items = sorted(self.pairs, key=lambda pq: (pq[0], pq[1] or ""))
@@ -238,7 +240,7 @@ class RecognizerCtx:
         h.idx = idx
         h.rows = rows
         h.space = self.names
-        h._pairs = h._left = h._heads = h._par = None
+        h._hash = h._pairs = h._left = h._heads = h._par = None
         return h
 
     def from_dense(self, rows: list) -> SProfile:

@@ -137,7 +137,7 @@ class _Node(tuple):
     def __eq__(self, other):
         return isinstance(other, _Node) and self._postfix() == other._postfix()
 
-    def __ne__(self, other):
+    def __ne__(self, other):  # else tuple's own compare would answer
         return not self.__eq__(other)
 
     def __repr__(self):
@@ -291,9 +291,6 @@ class SPGraph:
         return self is other or (
             isinstance(other, SPGraph) and self.edges == other.edges and self.key == other.key
         )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash(self.key)  # a string keeps its hash

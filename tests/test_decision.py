@@ -20,7 +20,7 @@ from spr.decision import (
     is_empty,
 )
 from spr.grammar import GrammarError, parse_grammar, rule_rhs_term, validate_regular
-from spr.oracle import gen_random_grammar, gen_worstcase, lang_from, language_upto
+from spr.oracle import _min_edges, gen_random_grammar, gen_worstcase, lang_from, language_upto
 from spr.recognizer import (
     accepts,
     bridge_profile,
@@ -375,6 +375,79 @@ def test_a_filtered_grammar_is_empty_exactly_when_it_has_no_axioms(
         assert is_empty(f) == (not f.axioms)
         checked.add(not f.axioms)
     assert checked == {True, False}
+
+
+@pytest.mark.parametrize("seed", [None, *range(40)])
+def test_filtered_languages_agree_with_enumeration(request, seed):
+    for g1, g2 in inclusion_pairs(request, seed):
+        ctx = build_ctx(g2)
+        graphs = language_upto(g1, 5)
+        kept = {h for h in graphs if member(h, g2, ctx)}
+        assert language_upto(filter_grammar(g1, g2, mode="accept"), 5) == kept
+        assert language_upto(filter_grammar(g1, g2, mode="reject"), 5) == graphs - kept
+
+
+@pytest.mark.parametrize("seed", [None, *range(40)])
+def test_split_nonterminals_are_numbered_in_settling_order(request, seed):
+    # x$vN is the N-th value x settles, so the fewest edges it derives never
+    # fall as N grows, and they are the edges of derivable_values' witnesses
+    for g1, g2 in inclusion_pairs(request, seed):
+        f = filter_grammar(g1, g2)
+        fewest = _min_edges(f)
+        values = derivable_values(g1, build_ctx(g2))
+        assert set(fewest) == {f"{x}$v{i}" for x, vs in values.items() for i in range(len(vs))}
+        for x, found in values.items():
+            edges = [fewest[f"{x}$v{i}"] for i in range(len(found))]
+            assert edges == [w.edges for w in found.values()] == sorted(edges)
+
+
+@pytest.mark.parametrize("seed", [None, *range(40)])
+def test_filtering_is_one_search_whose_rules_compose_nothing_new(request, seed, monkeypatch):
+    searches, after = [], []
+    search_ops, lightest = decision._search_ops, decision._lightest
+
+    def recording_ops(ctxs, stats):
+        searches.append(stats)
+        return search_ops(ctxs, stats)
+
+    def recording_lightest(*args, **kwargs):
+        settled = lightest(*args, **kwargs)
+        after.append(searches[-1]["compositions"])
+        return settled
+
+    monkeypatch.setattr(decision, "_search_ops", recording_ops)
+    monkeypatch.setattr(decision, "_lightest", recording_lightest)
+    composed = 0
+    for (g1, g2), mode in itertools.product(inclusion_pairs(request, seed), ("accept", "reject")):
+        searches.clear()
+        after.clear()
+        filter_grammar(g1, g2, mode=mode)
+        assert len(searches) == len(after) == 1
+        assert searches[0]["compositions"] == after[0]
+        composed += after[0]
+    assert composed > 0 or seed is not None  # the fixture pairs compose
+
+
+def test_filtering_builds_no_graph(univ, ga, gab, chain, bundle, even_bundle, monkeypatch):
+    grammars = [univ, ga, gab, chain, bundle, even_bundle]
+    pairs = [*itertools.product(grammars, repeat=2), (parse_grammar(deep_chain(300)), univ)]
+    built = []
+    for cls in (Bridge, SNode, PNode):
+        init = cls.__init__
+
+        def counting(self, *args, init=init, cls=cls):
+            built.append(cls)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    Bridge("a")  # the counters see a construction
+    assert built == [Bridge]
+    built.clear()
+    kept = 0
+    for g1, g2 in pairs:
+        if not set(g1.alphabet) - set(g2.alphabet):
+            kept += len(filter_grammar(g1, g2).axioms)
+    assert kept and built == []
 
 
 # ---------------------------------------------------------------------------

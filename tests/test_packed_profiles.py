@@ -399,6 +399,7 @@ def test_every_serial_profile_keeps_its_layout(name, packed, request, monkeypatc
 
     def recording(self, idx, rows):
         h = make(self, idx, rows)
+        assert hash(h) == hash(h.rows)  # before any view is read
         made.append(h)
         return h
 
@@ -428,6 +429,8 @@ def test_every_serial_profile_keeps_its_layout(name, packed, request, monkeypatc
     ns, width = ctx.ns, len(ctx.names)
     by_pairs = {}
     for h in made:
+        ctx.left(h), ctx.heads(h), ctx.par(h), h.pairs
+        assert hash(h) == hash(h.rows)
         assert len(h.idx) == len(h.rows)
         assert all(i < j for i, j in zip(h.idx, h.idx[1:]))
         assert all(0 <= i < ns for i in h.idx)
