@@ -70,7 +70,10 @@ graph is a product of layer atoms: a worklist in the order profiles turn up
 composes each profile on the right with every *serial atom* (a bridge or
 parallel profile, through its row table), and each distinct ``par_map``
 image with every *parallel atom* (the image of a bridge or serial profile),
-each pair once.  That is n times the number of atoms compositions, not n².
+each pair once.  That is at most n times the number of atoms
+compositions.  Every parallel profile is a serial atom, so a closure of
+mostly parallel profiles makes about n² (n² − 8 on
+``p -> t^999999999 || s``); one with few atoms makes far fewer.
 
 Everything is computed on a normalized, alternative-form working copy of the
 grammar (built once per ``RecognizerCtx``); languages are unchanged by that

@@ -19,13 +19,12 @@ bridges-first (by label), then serial nodes lexicographically by their
 child sequence.  The order is that of a canonical key string, ``key``;
 equality and hashing go through it.  A bridge makes its key at once.  A
 serial or parallel node finds its sorted ``children`` and its key only when
-they are read, so building and evaluating a graph make neither.  Then a
-node of at most ``_SMALL`` edges joins its key from its children's and
-keeps it, as the nodes of a graph once kept theirs.  A larger one has the
-children of every parallel node below it sorted in one iterative pass
+they are read, so building and evaluating a graph make neither.  Then the
+children of every parallel node below it are sorted in one iterative pass
 that compares keys token by token without spelling them (``_compare``),
-and its key spelled in one walk and kept by itself alone.  So a deep graph
-needs memory linear in its size, not in the length of all its nodes' keys.
+and a key read is spelled in one walk and kept by its node alone.  So a
+deep graph needs memory linear in its size, not in the length of all its
+nodes' keys.
 
 Within one call, ``parse_graph`` and ``canonicalize`` build nodes through a
 table (``_node``) keyed by kind and the ids of the parts, sorted for a
@@ -273,8 +272,7 @@ class SPGraph:
     Equality and hashing go through ``key``, the canonical key string (see
     the module docstring).  A bridge makes its key at once; a serial or
     parallel node spells it the first time it is read (``_spell``) and
-    keeps it, while the nodes below keep theirs only if read themselves or
-    small (``_keyed``)."""
+    keeps it, while the nodes below keep theirs only if read themselves."""
 
     __slots__ = ("edges", "_key")
 
@@ -371,37 +369,11 @@ _SERIAL_PARTS = frozenset((Bridge, PNode))
 _PARALLEL_PARTS = frozenset((Bridge, SNode))
 
 
-# A node of at most this many edges is given its key when it is sorted:
-# an edge then lies in the kept keys of at most this many nodes above it,
-# so memory stays linear in the graph, and small graphs sort and compare
-# by key strings
-_SMALL = 64
-
-
-def _keyed(x: SPGraph) -> str:
-    """The key of ``x``, a node of at most ``_SMALL`` edges, which it keeps:
-    joined from its children's keys, a parallel node's parts sorted by them
-    first.  Recursive, as deep as ``x`` has edges at most."""
-    k = x._key
-    if k is None:
-        if isinstance(x, PNode):
-            x._children = tuple(sorted(x.parts, key=_keyed))
-            k = "p(" + "".join(map(_key_of, x._children)) + ")"
-        else:
-            k = "s(" + "".join(map(_keyed, x.parts)) + ")"
-        x._key = k
-    return k
-
-
 def _sort_below(g: SPGraph) -> None:
     """Sort the parts of every parallel node of ``g`` that has no
     ``children`` yet, each after the nodes below it (which ``_compare``
-    reads); a node of at most ``_SMALL`` edges is sorted and keyed by
-    ``_keyed``.  Iterative, each node once; it stops at a node with a key
-    and at a sorted parallel node, as everything below one is sorted."""
-    if g.edges <= _SMALL:
-        _keyed(g)
-        return
+    reads).  Iterative, each node once; it stops at a node with a key and
+    at a sorted parallel node, as everything below one is sorted."""
     done: set = set()
     stack = [g]
     while stack:
@@ -409,15 +381,12 @@ def _sort_below(g: SPGraph) -> None:
         if id(node) in done:
             stack.pop()
             continue
-        large = []
-        for c in node.parts:
-            if c._key is None and id(c) not in done and (isinstance(c, SNode) or c._children is None):
-                if c.edges <= _SMALL:
-                    _keyed(c)
-                else:
-                    large.append(c)
-        if large:
-            stack += large
+        below = [
+            c for c in node.parts
+            if c._key is None and id(c) not in done and (isinstance(c, SNode) or c._children is None)
+        ]
+        if below:
+            stack += below
             continue
         stack.pop()
         done.add(id(node))
@@ -477,12 +446,9 @@ _by_key = cmp_to_key(_compare)
 
 
 def _spell(g: SPGraph) -> str:
-    """The key of the layer ``g``: that of ``_keyed`` if ``g`` is small, else
-    written in one walk, a bridge's key, a layer's ``s(`` or ``p(``, its
-    children and its ``)``, a node whose key is spelled already copied
-    whole."""
-    if g.edges <= _SMALL:
-        return _keyed(g)
+    """The key of the layer ``g``, written in one walk: a bridge's key, a
+    layer's ``s(`` or ``p(``, its children and its ``)``, a node whose key
+    is spelled already copied whole."""
     _sort_below(g)
     out: list = []
     stack = [g]
@@ -940,6 +906,8 @@ def random_graph(rng, n_edges: int, labels) -> SPGraph:
     if n_edges < 1:
         raise ValueError("need at least one edge")
     labels = list(labels)
+    if not labels:
+        raise ValueError("need at least one label")
     out: list[Term] = []
     tasks: list[tuple] = [("gen", n_edges)]
     while tasks:

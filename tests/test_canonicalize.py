@@ -245,3 +245,10 @@ def test_random_graph_matches_pairwise_composition():
 def test_random_graph_rejects_bad_labels():
     with pytest.raises(ValueError, match="bad edge label"):
         random_graph(random.Random(0), 3, ["A"])
+
+
+def test_random_graph_needs_a_label():
+    # the error ``enumerate_graphs`` gives, for any size
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="need at least one label"):
+            random_graph(random.Random(0), n, "")

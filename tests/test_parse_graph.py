@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_canonicalize import ASSOCIATIONS, associate, ground_terms, inner_nodes, nest
 
-from spr import spgraph
 from spr.spgraph import (
     Atom,
     Parallel,
@@ -207,30 +206,40 @@ def _layers(g):
     return out
 
 
-@pytest.mark.parametrize("small", [spgraph._SMALL, 1])
-def test_parallel_children_are_sorted_by_key(small, monkeypatch):
-    # small graphs are sorted by key strings; with no graph counted small,
-    # every layer is sorted without spelling keys
-    monkeypatch.setattr(spgraph, "_SMALL", small)
+def reference_key(g):
+    """The canonical key, spelled recursively from its definition: a
+    bridge's ``b:x;``, or a layer's ``s(`` and its parts' keys in order, or
+    ``p(`` and its parts' keys sorted, then ``)``.  Reads ``parts`` only."""
+    if isinstance(g, Bridge):
+        return "b:" + g.label + ";"
+    keys = [reference_key(c) for c in g.parts]
+    if isinstance(g, PNode):
+        return "p(" + "".join(sorted(keys)) + ")"
+    return "s(" + "".join(keys) + ")"
+
+
+def test_parallel_children_are_sorted_by_key():
     rng = random.Random(5)
     for n in range(200):
-        text = format_graph(random_graph(rng, rng.randint(2, 80), "abc"))
+        text = format_graph(random_graph(rng, rng.randint(2, 200), "abc"))
         if n % 4 < 2:  # equal subgraphs one object
             g = parse_graph(text)
         else:  # built pairwise, so equal subgraphs are distinct objects
             g = fold_term(parse_term(text), Bridge, None, compose_serial, compose_parallel)
-            assert g == parse_graph(text)
         layers = _layers(g)
         if n % 2:  # some nodes below have spelled their keys, some not
             for node in rng.sample(layers, len(layers) // 3):
                 node.key
         for node in layers:
-            keys = [c.key for c in node.children]
+            keys = [reference_key(c) for c in node.children]
             if isinstance(node, PNode):
                 assert keys == sorted(keys)
                 assert sorted(map(id, node.children)) == sorted(map(id, node.parts))
             else:
                 assert node.children == node.parts
+        for node in layers:
+            assert node.key == reference_key(node)
+        assert g == parse_graph(text)
     # serial siblings whose parallel parts differ only in length, or deep down
     for text in ("a . (b || c || c) || a . (b || c)",
                  "(b || c . (a || b || b)) . a || (b || c . (a || b)) . a || b . (a || b)"):
@@ -243,6 +252,19 @@ def test_parallel_children_are_sorted_by_key(small, monkeypatch):
     )
     assert x.parts[1] is not y.parts[1] and x.parts[1] == y.parts[1]
     assert compose_parallel(x, y).children == (y, x)
+
+
+def test_only_the_node_read_keeps_its_key():
+    # the nodes below the one read sort their parts but keep no key, so the
+    # kept keys of a graph never sum to more than the length of its own
+    rng = random.Random(8)
+    for edges in (60, 60, 60, 200):
+        g = random_graph(rng, edges, "ab")
+        layers = _layers(g)
+        for node in layers:
+            node.children
+        assert g.key == reference_key(g)
+        assert [node for node in layers if node._key is not None] == [g]
 
 
 def test_a_deep_nest_spells_its_key_and_text_in_linear_memory():
