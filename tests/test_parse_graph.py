@@ -218,8 +218,9 @@ def reference_key(g):
     return "s(" + "".join(keys) + ")"
 
 
-def test_parallel_children_are_sorted_by_key():
-    rng = random.Random(5)
+@pytest.mark.parametrize("seed", [1, 64])
+def test_parallel_children_are_sorted_by_key(seed):
+    rng = random.Random(seed)
     for n in range(200):
         text = format_graph(random_graph(rng, rng.randint(2, 200), "abc"))
         if n % 4 < 2:  # equal subgraphs one object
