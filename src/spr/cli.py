@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .decision import (
     CapExceeded,
-    bound_cardinality,
+    _bound_exponents,
     filter_grammar,
     inclusion,
     intersection_empty,
@@ -145,17 +145,20 @@ def _cmd_stats(args) -> int:
     ctx = build_ctx(g)
     effort: dict = {}
     reach = reachable_profiles(ctx, cap=args.cap, stats=effort)
-    bound = bound_cardinality(g, ctx)
-    try:
-        bound_text = str(bound)
-    except ValueError:  # above the interpreter's int-to-text digit limit
-        bound_text = None
+    a, b = _bound_exponents(ctx)
+    bits = max(a, b) + 1 + (a == b)
+    # the bound 2^a + 2^b can take gigabytes: it is built only when its text
+    # fits the interpreter's int-to-text digit limit (none before Python
+    # 3.11, or at 0), which it cannot once it reaches 2^(4 * limit) > 10^limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    fits = not limit or bits <= 4 * limit and (1 << a) + (1 << b) < 10**limit
+    bound = (1 << a) + (1 << b) if fits else None
     data = {
         "serial_profiles": reach.n_serial,
         "parallel_profiles": reach.n_parallel,
         "saturated": reach.saturated,
-        "bound": None if bound_text is None else bound,
-        "bound_bits": bound.bit_length(),
+        "bound": bound,
+        "bound_bits": bits,
         "working_nonterminals": len(ctx.grammar.pnames) + len(ctx.grammar.snames),
         "stats": effort,
     }
@@ -165,7 +168,7 @@ def _cmd_stats(args) -> int:
         f"saturated: {reach.saturated}",
         f"compositions: {effort['compositions']}",
         f"table hits: {effort['table_hits']}",
-        f"profile bound: {bound_text or f'< 2^{bound.bit_length()}'}",
+        f"profile bound: {bound or f'< 2^{bits}'}",
     ]
     _emit(args, data, lines)
     return 0
@@ -278,3 +281,7 @@ def run(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    entry()

@@ -119,9 +119,10 @@ def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None, goal=None) -> di
     its settled entries in an append-only list beside the ``value -> entry``
     dict, so a combination reads the lists as they are and only a body that
     names the new value's nonterminal twice or more slices off the older
-    ones.  ``stats`` receives the values ``settled`` and the heap ``pops``;
-    more than ``cap`` settled values raise :class:`CapExceeded`, and a
-    negative ``cap`` ``ValueError``.
+    ones.  ``stats`` receives the effort as ``DecisionResult.stats`` names
+    it: the values settled (``profiles_explored``) and the heap pops
+    (``iterations``); more than ``cap`` settled values raise
+    :class:`CapExceeded`, and a negative ``cap`` ``ValueError``.
 
     An entry is ``(value, edges, body, combo)``: the rule body that derived
     it and the entries of its nonterminal occurrences, left to right.  These
@@ -191,7 +192,7 @@ def _lightest(g: Grammar, atom, ser, par, cap=None, stats=None, goal=None) -> di
                     break
                 pools[j] = old
     if stats is not None:
-        stats.update(settled=total, pops=pops)
+        stats.update(profiles_explored=total, iterations=pops)
     return settled
 
 
@@ -275,24 +276,19 @@ def _decide(g: Grammar, ctxs, found, cap, t0: float) -> DecisionResult:
     is ``found``, and fails with the lightest witness of those that are: only
     the hits of fewest edges are built, and ranked by ``graph_order``."""
     axioms = set(g.axioms)
-    effort: dict = {}
-    ops = _search_ops(ctxs, effort)
+    stats: dict = {}
+    ops = _search_ops(ctxs, stats)
     t1 = time.perf_counter()
-    values = _lightest(g, *ops, cap, effort, lambda x, value: x in axioms and found(value))
+    values = _lightest(g, *ops, cap, stats, lambda x, value: x in axioms and found(value))
     t2 = time.perf_counter()
     hits = [e for x in axioms for v, e in values[x].items() if found(v)]
     fewest = min((e[1] for e in hits), default=None)
     build = _witnesses()
     witness = min((build(e) for e in hits if e[1] == fewest), key=graph_order, default=None)
     t3 = time.perf_counter()
-    stats = {
-        "profiles_explored": effort["settled"],
-        "iterations": effort["pops"],
-        "compositions": effort["compositions"],
-        "saturation_ms": (t2 - t1) * 1000.0,
-        "witness_ms": (t3 - t2) * 1000.0,
-        "wall_ms": (t3 - t0) * 1000.0,
-    }
+    stats.update(
+        saturation_ms=(t2 - t1) * 1000.0, witness_ms=(t3 - t2) * 1000.0, wall_ms=(t3 - t0) * 1000.0
+    )
     return DecisionResult(not hits, witness, stats)
 
 
@@ -306,8 +302,8 @@ def derivable_values(
 ) -> dict:
     """For every nonterminal of ``g``: all profiles (w.r.t. ``ctx``) of graphs
     it derives, mapped to an edge-minimal witness graph.  When given,
-    ``stats`` receives the effort: values ``settled``, heap ``pops`` and
-    ``compositions`` (distinct pairs composed)."""
+    ``stats`` receives the effort counters of ``DecisionResult.stats``:
+    ``profiles_explored``, ``iterations`` and ``compositions``."""
     _check_alphabet(g, ctx)
     if stats is None:
         stats = {}
@@ -418,8 +414,13 @@ def filter_grammar(
 def bound_cardinality(g: Grammar, ctx: Optional[RecognizerCtx] = None) -> int:
     """An upper bound on the number of distinct profiles of the working form
     of ``g`` (serial plus parallel)."""
-    if ctx is None:
-        ctx = build_ctx(g)
+    p_exp, s_exp = _bound_exponents(ctx or build_ctx(g))
+    return (1 << p_exp) + (1 << s_exp)
+
+
+def _bound_exponents(ctx: RecognizerCtx) -> tuple:
+    """The exponents of the two powers of two whose sum is
+    :func:`bound_cardinality`: parallel profiles, then serial ones."""
     work = ctx.grammar
     ns, np = len(work.snames), len(work.pnames)
     bases = []
@@ -440,5 +441,4 @@ def bound_cardinality(g: Grammar, ctx: Optional[RecognizerCtx] = None) -> int:
         exponent = math.ceil(
             (Fraction(b_max) + Fraction(p_max**2, 2)) * ns * ns * (ns + 2) * np
         )
-    s_bound = 2 ** (ns * (ns + np + 1))
-    return 2**exponent + s_bound
+    return exponent, ns * (ns + np + 1)

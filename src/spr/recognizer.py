@@ -23,12 +23,15 @@ membership of arbitrarily large graphs is decided by one bottom-up sweep:
 The two views convert into each other: ``par_map`` reads a serial graph as a
 single parallel component, ``seq_map`` turns a parallel graph's views into
 chain steps through the serial rules.  The context computes each view of a
-profile the first time it is asked for, and the profile keeps it: a serial
-profile its left view (index tuples: ``idx``, each row's first
-S-remainder, and the few rows with further S-remainders or with
-P-remainders), its rows indexed by S-name (on the right) and its
-``par_map``; a parallel profile its finished mask (the P-names that accept
-it as a finished layer, as remainder bits) and its ``seq_map``.
+profile the first time it is asked for, and the profile keeps the views
+that are read again: a serial profile its left view (index tuples:
+``idx``, each row's first S-remainder, and the few rows with further
+S-remainders or with P-remainders) and its ``par_map``; a parallel profile
+its finished mask (the P-names that accept it as a finished layer, as
+remainder bits) and its ``seq_map``.  A serial profile's rows indexed by
+S-name (``RecognizerCtx.heads``, read on the right) are built for each
+use and not kept: a decision search meets almost every right operand
+once, and the list holds a row for every S-name of the context.
 ``op_serial`` is then composition of relations: every row of the left
 profile ORs the right profile's rows that its S-remainders name, and gains
 ⊥ when one of its P-remainders is in the right profile's finished mask
@@ -41,16 +44,17 @@ few distinct left rows, so the callers that compose with atoms do it through
 a *row table* of the atom (``RecognizerCtx.row_table``): a dict from a
 packed left row to its composed row, filled on a miss by the same row law.
 Composing is then one lookup pass over the left ``rows``
-(``RecognizerCtx.compose``), which keeps the left ``idx`` unless a row
-composes to 0, and the left profile needs no left view.  The choice is by
-operand shape: ``reachable_profiles`` and ``eval_graph`` compose every
-serial pair with an atom on the right and keep one table per atom for one
-call, while ``op_serial`` with its left view serves composite right
-operands (the values of ``decision._lightest``), which a table would not
-repay.  Profiles exist only packed over a context, made by its ``make``
-(which ``from_dense``, ``pack``, ``seq`` and both serial compositions call)
-and ``pprofile``; the operations reject a profile of another context with
-a ``ValueError``.
+(``RecognizerCtx.compose``), and the left profile needs no left view.
+Both serial compositions end in one packing step
+(``RecognizerCtx.composed``), which keeps the left ``idx`` unless a row
+composes to 0.  The choice is by operand shape: ``reachable_profiles``
+and ``eval_graph`` compose every serial pair with an atom on the right
+and keep one table per atom for one call, while ``op_serial`` with its
+left view serves composite right operands (the values of
+``decision._lightest``), which a table would not repay.  Profiles exist
+only packed over a context, made by its ``make`` (which ``from_dense``,
+``pack``, ``seq`` and ``composed`` call) and ``pprofile``; the operations
+reject a profile of another context with a ``ValueError``.
 
 The recognizer's algebra is finite, so a large graph goes through few
 distinct profiles.  ``eval_graph`` walks a graph's nodes by identity,
@@ -122,7 +126,7 @@ class SProfile:
     context and their ``idx`` and ``rows`` are equal; the hash is that of
     ``rows``, computed once, as ``rows`` never changes after ``make``."""
 
-    __slots__ = ("idx", "rows", "space", "_hash", "_pairs", "_left", "_heads", "_par")
+    __slots__ = ("idx", "rows", "space", "_hash", "_pairs", "_left", "_par")
 
     @property
     def pairs(self) -> frozenset:
@@ -243,7 +247,7 @@ class RecognizerCtx:
         h.idx = idx
         h.rows = rows
         h.space = self.names
-        h._hash = h._pairs = h._left = h._heads = h._par = None
+        h._hash = h._pairs = h._left = h._par = None
         return h
 
     def from_dense(self, rows: list) -> SProfile:
@@ -290,12 +294,10 @@ class RecognizerCtx:
     def heads(self, h: SProfile) -> list:
         """The rows indexed by S-name, 0 for an S-name without pairs, and a
         last 0 at index ``ns`` that ``left`` names for rows without an
-        S-remainder."""
-        v = h._heads
-        if v is None:
-            v = h._heads = [0] * (self.ns + 1)
-            for i, r in zip(h.idx, h.rows):
-                v[i] = r
+        S-remainder.  A new list on every call, which ``h`` does not keep."""
+        v = [0] * (self.ns + 1)
+        for i, r in zip(h.idx, h.rows):
+            v[i] = r
         return v
 
     def done(self, h: SProfile) -> int:
@@ -367,17 +369,20 @@ class RecognizerCtx:
 
     def compose(self, h: Profile, table: RowTable) -> SProfile:
         """``op_serial`` of ``h`` and the right operand of ``table``: each row
-        of ``h`` looked up in the table, in one pass that keeps ``h.idx``
-        unless a row composes to 0."""
+        of ``h`` looked up in the table, in one pass."""
         if type(h) is not SProfile:
             h = self.seq(h)
+        return self.composed(h.idx, list(map(table.__getitem__, h.rows)))
+
+    def composed(self, idx: tuple, out: list) -> SProfile:
+        """The serial composition whose row ``out[k]`` belongs to S-name
+        ``idx[k]``: ``idx`` is kept unless a row composed to 0."""
         # every tuple is copied from a list: a tuple built from an iterator
         # of unknown length grows by reallocation, which fragments the
         # small-object pools (a higher peak RSS)
-        out = list(map(table.__getitem__, h.rows))
         if all(out):
-            return self.make(h.idx, tuple(out))
-        return self.make(tuple([*compress(h.idx, out)]), tuple([*filter(None, out)]))
+            return self.make(idx, tuple(out))
+        return self.make(tuple([*compress(idx, out)]), tuple([*filter(None, out)]))
 
 
 class RowTable(dict):
@@ -521,9 +526,7 @@ def op_serial(h1: Profile, h2: Profile, ctx: RecognizerCtx) -> SProfile:
         for k, pbits in pend:
             if pbits & fin:
                 out[k] |= ctx.bot
-    if all(out):
-        return ctx.make(idx, tuple(out))
-    return ctx.make(tuple([*compress(idx, out)]), tuple([*filter(None, out)]))
+    return ctx.composed(idx, out)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ through ``enumerate``."""
 
 import contextlib
 import io
+import json
 import os
 import random
 import subprocess
@@ -160,13 +161,17 @@ needs_proc = pytest.mark.skipif(
 )
 
 
-def run_limited(args, timeout, headroom_mb=64, stdin=""):
+def src_env() -> dict:
+    """This environment with the package's ``src`` first on ``PYTHONPATH``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_limited(args, timeout, headroom_mb=64, stdin=""):
     return subprocess.run(
         [sys.executable, "-c", LIMITED, str(headroom_mb), *args],
-        input=stdin, capture_output=True, text=True, env=env, timeout=timeout,
+        input=stdin, capture_output=True, text=True, env=src_env(), timeout=timeout,
     )
 
 
@@ -197,6 +202,36 @@ p -> b
 s -> a
 s -> b
 """
+
+
+@pytest.mark.parametrize("module", ["spr", "spr.cli"])
+@pytest.mark.parametrize("term, code, out, err", [
+    ("a . b", 0, "true\n", ""),
+    ("c", 2, "", "error: label 'c' not in the grammar's alphabet\n"),
+], ids=["member", "foreign-label"])
+def test_python_dash_m_runs_the_command(tmp_path, module, term, code, out, err):
+    grammar = tmp_path / "univ.spg"
+    grammar.write_text(UNIVERSAL)
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "member", "-g", str(grammar), "-t", term],
+        capture_output=True, text=True, env=src_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+@needs_proc
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="no int-to-text digit limit: the bound is printed whole")
+def test_stats_reports_the_bits_of_a_bound_it_cannot_print(tmp_path):
+    # the k = 8 string-matching grammar's bound has 4,148,209,243 bits, so
+    # only its bit count is printed; building the int ran out of memory
+    grammar = tmp_path / "wc8.spg"
+    grammar.write_text(format_grammar(gen_worstcase(8)))
+    proc = run_limited(["--json", "--cap", "10", "stats", str(grammar)], timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    data = json.loads(proc.stdout)
+    assert (data["bound"], data["bound_bits"]) == (None, 4148209243)
+    assert data["serial_profiles"] + data["parallel_profiles"] == 10
 
 
 @needs_proc
