@@ -69,7 +69,7 @@ def _cmd_check(args) -> int:
     rep = validate_regular(g)
     data = {
         "regular": rep.ok,
-        "normalized": rep.ok and is_normalized(g),
+        "normalized": is_normalized(g),
         "alternative": is_alternative(g),
         "nonterminals": len(g.pnames) + len(g.snames),
         "rules": len(g.rules),

@@ -17,6 +17,11 @@ and ``Free`` rules whose right-hand side is an arbitrary term over labels and
 nonterminals (these make the grammar non-regular but are still usable by the
 enumeration and filtering machinery).
 
+Each rule kind is a frozen dataclass whose first field is the rule's head,
+which every kind reads as ``lhs``.  A grammar is *normalized* when
+``normalize`` would copy nothing and no ``Alt`` rule names a variable
+periodic for its head (see ``is_normalized``).
+
 The text format mirrors the constructors::
 
     alphabet: a b
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Union
 
 from .spgraph import (
@@ -70,87 +75,64 @@ class GrammarError(ValueError):
     pass
 
 
+class _Rule:
+    """A rule kind: a frozen dataclass whose first field is the rule's
+    head."""
+
+    @property
+    def lhs(self) -> str:
+        return getattr(self, self.__match_args__[0])
+
+
 @dataclass(frozen=True)
-class RuleA:
+class RuleA(_Rule):
     p: str
     s: str
     ell: int
 
-    @property
-    def lhs(self):
-        return self.p
-
 
 @dataclass(frozen=True)
-class RuleB:
+class RuleB(_Rule):
     p: str
     body: tuple[tuple[str, int], ...]  # sorted by name, exponents >= 1
 
-    @property
-    def lhs(self):
-        return self.p
-
 
 @dataclass(frozen=True)
-class RuleC:
+class RuleC(_Rule):
     s: str
     p: str
     s1: str
 
-    @property
-    def lhs(self):
-        return self.s
-
 
 @dataclass(frozen=True)
-class RuleD:
+class RuleD(_Rule):
     s: str
     p1: str
     p2: str
 
-    @property
-    def lhs(self):
-        return self.s
-
 
 @dataclass(frozen=True)
-class RuleE:
+class RuleE(_Rule):
     p: str
     a: str
 
-    @property
-    def lhs(self):
-        return self.p
-
 
 @dataclass(frozen=True)
-class RuleF:
+class RuleF(_Rule):
     s: str
     a: str
 
-    @property
-    def lhs(self):
-        return self.s
-
 
 @dataclass(frozen=True)
-class RuleAlt:
+class RuleAlt(_Rule):
     p: str
     s: str
 
-    @property
-    def lhs(self):
-        return self.p
-
 
 @dataclass(frozen=True)
-class RuleFree:
+class RuleFree(_Rule):
     name: str
     rhs: Term
-
-    @property
-    def lhs(self):
-        return self.name
 
 
 Rule = Union[RuleA, RuleB, RuleC, RuleD, RuleE, RuleF, RuleAlt, RuleFree]
@@ -232,12 +214,8 @@ class Grammar:
             want(r.s, "S"), want(r.p, "P"), want(r.s1, "S")
         elif isinstance(r, RuleD):
             want(r.s, "S"), want(r.p1, "P"), want(r.p2, "P")
-        elif isinstance(r, RuleE):
-            want(r.p, "P")
-            if r.a not in self.alphabet:
-                raise GrammarError(f"label {r.a!r} not in alphabet in {format_rule(r)}")
-        elif isinstance(r, RuleF):
-            want(r.s, "S")
+        elif isinstance(r, (RuleE, RuleF)):
+            want(r.lhs, "P" if isinstance(r, RuleE) else "S")
             if r.a not in self.alphabet:
                 raise GrammarError(f"label {r.a!r} not in alphabet in {format_rule(r)}")
         elif isinstance(r, RuleAlt):
@@ -352,35 +330,19 @@ def _s_rules_of(rules, name):
 
 
 def _with_lhs(r, name):
-    if isinstance(r, RuleC):
-        return RuleC(name, r.p, r.s1)
-    if isinstance(r, RuleD):
-        return RuleD(name, r.p1, r.p2)
-    return RuleF(name, r.a)
+    return replace(r, **{r.__match_args__[0]: name})
 
 
 def is_normalized(g: Grammar) -> bool:
     """At most one A-rule per (p, s) pair, and no variable both periodic and
-    bounded for the same p.  Tolerates Alt rules (whose variables count as
-    bounded occurrences); anything free-form fails."""
-    periodic = defaultdict(set)
-    pairs = set()
-    for r in g.rules:
-        if isinstance(r, RuleFree):
-            return False
-        if isinstance(r, RuleA):
-            if (r.p, r.s) in pairs:
-                return False
-            pairs.add((r.p, r.s))
-            periodic[r.p].add(r.s)
-    for r in g.rules:
-        if isinstance(r, RuleB):
-            if any(v in periodic[r.p] for v, _ in r.body):
-                return False
-        elif isinstance(r, RuleAlt):
-            if r.s in periodic[r.p]:
-                return False
-    return True
+    bounded for the same p: ``normalize`` would copy nothing, and no Alt
+    rule ``p -> s`` names an s periodic for its p (an Alt occurrence counts
+    as bounded, but ``normalize`` renames only B-rule occurrences).
+    Anything free-form fails."""
+    if any(isinstance(r, RuleFree) for r in g.rules) or _normalize(g) is not g:
+        return False
+    periodic = {(r.p, r.s) for r in g.rules if isinstance(r, RuleA)}
+    return not any(isinstance(r, RuleAlt) and (r.p, r.s) in periodic for r in g.rules)
 
 
 def normalize(g: Grammar) -> Grammar:

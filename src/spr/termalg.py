@@ -505,18 +505,13 @@ def sup_monomials(t: TermNF) -> TermNF:
 
 def weighted_card(vars: Iterable[str], ctx: NfContext) -> int:
     """Weighted size of a variable set: each variable contributes its number
-    of non-unit reduced powers (base-1, period-1 or theta-1)."""
+    of non-unit reduced powers, one less than its class's ``_radix``."""
     total = 0
     for v in set(vars):
         cls = ctx.get(v)
         if cls is None:
             raise ValueError(f"variable {v!r} not in context")
-        if isinstance(cls, Bounded):
-            total += cls.base - 1
-        elif isinstance(cls, Periodic):
-            total += cls.period - 1
-        else:
-            total += cls.theta - 1
+        total += _radix(cls) - 1
     return total
 
 

@@ -112,6 +112,18 @@ def test_normalize_alternative(gfile, capsys):
     assert is_alternative(g)
 
 
+def test_check_reports_the_alternative_form_as_normalized(gfile, capsys):
+    assert run(["normalize", "--alternative", gfile(UNIV_TEXT)]) == 0
+    alt = gfile(capsys.readouterr().out, "alt.spg")
+    # alternation rules are not a regular shape, so the check fails, but the
+    # grammar is normalized and compiles into a recognizer as it is
+    assert run(["--json", "check", alt]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["regular"] is False
+    assert data["normalized"] is True
+    assert data["alternative"] is True
+
+
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------

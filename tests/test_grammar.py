@@ -1,9 +1,19 @@
 import random
 from collections import Counter
+from dataclasses import astuple, fields
 
 import pytest
 
-from conftest import CHAIN_TEXT, EVEN_BUNDLE_TEXT, UNIV_TEXT
+from conftest import (
+    BUNDLE_TEXT,
+    CHAIN_TEXT,
+    EMPTY_TEXT,
+    EVEN_BUNDLE_TEXT,
+    EVEN_CHAIN_TEXT,
+    GA_TEXT,
+    GAB_TEXT,
+    UNIV_TEXT,
+)
 from spr.grammar import (
     BasePeriodTable,
     Grammar,
@@ -16,6 +26,7 @@ from spr.grammar import (
     RuleE,
     RuleF,
     RuleFree,
+    _with_lhs,
     compute_base_period,
     format_grammar,
     format_rule,
@@ -406,6 +417,81 @@ def test_normalize_returns_a_grammar_that_needs_no_copy_itself(ga, chain, univ):
     assert normalize(ga) is ga
     assert normalize(chain) is chain
     assert normalize(univ) is not univ
+
+
+# every regular grammar of conftest.py (EVEN_CHAIN_TEXT is free-form)
+_REGULAR_GRAMMARS = {
+    **{
+        name: parse_grammar(text)
+        for name, text in [
+            ("univ", UNIV_TEXT),
+            ("ga", GA_TEXT),
+            ("gab", GAB_TEXT),
+            ("chain", CHAIN_TEXT),
+            ("bundle", BUNDLE_TEXT),
+            ("even_bundle", EVEN_BUNDLE_TEXT),
+            ("empty", EMPTY_TEXT),
+        ]
+    },
+    "wc2": gen_worstcase(2),
+    "wc3": gen_worstcase(3),
+    **{f"seed{i}": gen_random_grammar(i) for i in range(60)},
+}
+
+
+@pytest.mark.parametrize("name", _REGULAR_GRAMMARS)
+def test_a_regular_grammar_is_normalized_when_normalize_copies_nothing(name):
+    g = _REGULAR_GRAMMARS[name]
+    assert validate_regular(g).ok
+    assert is_normalized(g) == (normalize(g) is g)
+    assert is_normalized(normalize(g))
+    # the alternative form's alternation rules count as bounded occurrences
+    alt = to_alternative(normalize(g))
+    assert is_alternative(alt) and is_normalized(alt)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        EVEN_CHAIN_TEXT,  # free-form rules
+        # an Alt/A overlap: normalize renames only B-rule occurrences, so it
+        # would copy nothing here, and is_normalized finds the overlap itself
+        "alphabet: a\npnonterminals: p\nsnonterminals: s\naxioms: p\n"
+        "rules:\np -> s\np -> p || s\ns -> a\n",
+    ],
+    ids=["free-form", "alt-beside-periodic"],
+)
+def test_grammars_that_normalize_cannot_repair_are_not_normalized(text):
+    assert not is_normalized(parse_grammar(text))
+
+
+_EVERY_RULE_KIND = [
+    RuleA("p", "s", 2),
+    RuleB("p", (("s", 1), ("t", 2))),
+    RuleC("s", "p", "t"),
+    RuleD("s", "p", "q"),
+    RuleE("p", "a"),
+    RuleF("s", "a"),
+    RuleAlt("p", "s"),
+    RuleFree("s", Serial(Atom("a"), Ref("p"))),
+]
+
+
+@pytest.mark.parametrize("rule", _EVERY_RULE_KIND, ids=lambda r: type(r).__name__)
+def test_a_rules_head_is_its_first_field(rule):
+    assert rule.lhs == getattr(rule, fields(rule)[0].name) == format_rule(rule).split(" -> ")[0]
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [r for r in _EVERY_RULE_KIND if isinstance(r, (RuleC, RuleD, RuleF))],
+    ids=lambda r: type(r).__name__,
+)
+def test_with_lhs_renames_only_the_head(rule):
+    renamed = _with_lhs(rule, "s$1")
+    assert type(renamed) is type(rule) and renamed.lhs == "s$1"
+    assert astuple(renamed)[1:] == astuple(rule)[1:]
+    assert rule.lhs == "s"
 
 
 def test_normalize_rejects_free_rules():
