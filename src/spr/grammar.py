@@ -17,6 +17,10 @@ and ``Free`` rules whose right-hand side is an arbitrary term over labels and
 nonterminals (these make the grammar non-regular but are still usable by the
 enumeration and filtering machinery).
 
+``working_form`` puts a grammar in the form its recognizer is compiled
+from: normalized, in alternative form, and with every alternation target
+of an axiom promoted to axiom.
+
 Each rule kind is a frozen dataclass whose first field is the rule's head,
 which every kind reads as ``lhs``.  A grammar is *normalized* when
 ``normalize`` would copy nothing and no ``Alt`` rule names a variable
@@ -287,8 +291,6 @@ def _body_names(r: Rule) -> tuple[str, ...]:
         return r.p, r.s1
     if isinstance(r, RuleD):
         return r.p1, r.p2
-    if isinstance(r, RuleAlt):
-        return (r.s,)
     if isinstance(r, RuleFree):
         refs: list = []
         fold_term(r.rhs, _ignore, refs.append, _ignore, _ignore)
@@ -323,10 +325,6 @@ def rule_rhs_term(r: Rule) -> Term:
 # ---------------------------------------------------------------------------
 # Normal form
 # ---------------------------------------------------------------------------
-
-
-def _s_rules_of(rules, name):
-    return [r for r in rules if isinstance(r, (RuleC, RuleD, RuleF)) and r.lhs == name]
 
 
 def _with_lhs(r, name):
@@ -364,29 +362,26 @@ def _normalize(g: Grammar) -> Grammar:
     snames = list(g.snames)
     used = set(g.pnames) | set(g.snames) | set(g.alphabet)
 
-    def fresh(base):
+    def copy_of(s):
+        """A fresh S-name ``s$i`` with a copy of each of s's rules."""
         i = 1
-        while f"{base}${i}" in used:
+        while f"{s}${i}" in used:
             i += 1
-        name = f"{base}${i}"
+        name = f"{s}${i}"
         used.add(name)
         snames.append(name)
+        rules.extend([_with_lhs(r, name) for r in rules
+                      if isinstance(r, (RuleC, RuleD, RuleF)) and r.lhs == s])
         return name
 
     groups = defaultdict(list)
     for idx, r in enumerate(rules):
         if isinstance(r, RuleA):
             groups[(r.p, r.s)].append(idx)
-    for pair in sorted(groups):
-        idxs = groups[pair]
-        if len(idxs) < 2:
-            continue
-        s = pair[1]
-        inherited = _s_rules_of(rules, s)
-        for idx in idxs:
-            copy = fresh(s)
-            rules[idx] = RuleA(pair[0], copy, rules[idx].ell)
-            rules.extend(_with_lhs(r, copy) for r in inherited)
+    for (p, s), idxs in sorted(groups.items()):
+        if len(idxs) > 1:
+            for idx in idxs:
+                rules[idx] = RuleA(p, copy_of(s), rules[idx].ell)
 
     periodic = defaultdict(set)
     bvars = defaultdict(set)
@@ -397,12 +392,11 @@ def _normalize(g: Grammar) -> Grammar:
             bvars[r.p].update(v for v, _ in r.body)
     for p in sorted(periodic.keys() & bvars.keys()):
         for s in sorted(bvars[p] & periodic[p]):
-            copy = fresh(s)
+            copy = copy_of(s)
             for i, r in enumerate(rules):
                 if isinstance(r, RuleB) and r.p == p and any(v == s for v, _ in r.body):
                     body = tuple(sorted((copy if v == s else v, e) for v, e in r.body))
                     rules[i] = RuleB(p, body)
-            rules.extend(_with_lhs(r, copy) for r in _s_rules_of(rules, s))
 
     if len(snames) == len(g.snames):
         return g
@@ -411,9 +405,10 @@ def _normalize(g: Grammar) -> Grammar:
 
 def to_alternative(g: Grammar) -> Grammar:
     """Route every edge rule ``p -> a`` through a labelled S-copy: add
-    ``s_a -> a``, replace the edge rule by ``p -> s_a``, and promote ``s_a``
-    to axiom whenever such a p was an axiom (a lone edge must stay in the
-    language through an S-kind start symbol)."""
+    ``s_a -> a`` and replace the edge rule by the alternation rule
+    ``p -> s_a``, which alone keeps a lone edge ``a`` in p's language.
+    ``s_a`` is promoted to axiom whenever such a p is an axiom (see
+    ``_promote``), so that a recognizer accepts the edge on the S-side."""
     _require_regular(g, "cannot convert a non-regular grammar")
     return _to_alternative(g)
 
@@ -431,18 +426,21 @@ def _to_alternative(g: Grammar) -> Grammar:
             name += "$"
         used.add(name)
         copies[a] = name
-    axioms = list(g.axioms)
-    rules = []
-    for r in g.rules:
-        if isinstance(r, RuleE):
-            rules.append(RuleAlt(r.p, copies[r.a]))
-            if r.p in g.axioms and copies[r.a] not in axioms:
-                axioms.append(copies[r.a])
-        else:
-            rules.append(r)
+    rules = [RuleAlt(r.p, copies[r.a]) if isinstance(r, RuleE) else r for r in g.rules]
     rules.extend(RuleF(copies[a], a) for a in elabels)
     snames = g.snames + tuple(copies[a] for a in elabels)
-    return _derived(g, snames=snames, axioms=axioms, rules=rules)
+    return _derived(g, snames=snames, axioms=_promote(g.axioms, rules), rules=rules)
+
+
+def _promote(axioms: tuple, rules) -> tuple:
+    """``axioms`` and, in rule order, the target s of every alternation rule
+    ``p -> s`` whose p is an axiom.  Such targets derive only the edges
+    that p accepts as lone edges, so the language stays the same."""
+    out = dict.fromkeys(axioms)
+    for r in rules:
+        if isinstance(r, RuleAlt) and r.p in out:
+            out[r.s] = None
+    return tuple(out)
 
 
 def is_alternative(g: Grammar) -> bool:
@@ -461,6 +459,23 @@ def is_alternative(g: Grammar) -> bool:
         if len(mine) != 1 or not isinstance(mine[0], RuleF) or t in named:
             return False
     return True
+
+
+def working_form(g: Grammar) -> Grammar:
+    """The normalized alternative form of ``g`` that its recognizer is
+    compiled from, with every alternation target of an axiom promoted.  A
+    grammar with alternation rules must already be normalized and in
+    alternative form; any other must be regular, and is checked once here,
+    its working copies being derived unchecked."""
+    if any(isinstance(r, RuleAlt) for r in g.rules):
+        if not (is_normalized(g) and is_alternative(g)):
+            raise GrammarError(
+                "grammars with alternation rules must already be normalized "
+                "and in alternative form"
+            )
+        return _derived(g, axioms=_promote(g.axioms, g.rules))
+    _require_regular(g, "not a regular grammar")
+    return _to_alternative(_normalize(g))
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,10 @@ mostly parallel profiles makes about n² (n² − 8 on
 ``p -> t^999999999 || s``); one with few atoms makes far fewer.
 
 Everything is computed on a normalized, alternative-form working copy of the
-grammar (built once per ``RecognizerCtx``); languages are unchanged by that
-preparation.
+grammar, which ``grammar.working_form`` builds once per ``RecognizerCtx``
+(promoting the alternation targets of axioms); languages are unchanged by
+that preparation.  The context's one constructor compiles it in one scan of
+its rules.
 """
 
 from __future__ import annotations
@@ -100,12 +102,7 @@ from .grammar import (
     RuleD,
     RuleF,
     _base_period,
-    _derived,
-    _normalize,
-    _require_regular,
-    _to_alternative,
-    is_alternative,
-    is_normalized,
+    working_form,
 )
 from .spgraph import Bridge, SNode, SPGraph
 from .termalg import (
@@ -199,7 +196,8 @@ class RecognizerCtx:
     """One grammar's profile algebra: its tables, and the views of the
     profiles packed over it as bit operations.
 
-    ``grammar`` is the normalized alternative working form of ``source``;
+    Built from the source grammar alone: ``grammar`` is its working form
+    (``grammar.working_form``), whose rules are scanned once;
     ``contexts[p]`` holds p's variable classes, ``spaces[p]`` the space of
     p's terms (``termalg.term_space``), and ``accepting[p] & t`` tests
     whether term ``t`` finishes a derivation.  Remainder ``j`` is
@@ -207,17 +205,20 @@ class RecognizerCtx:
     holds per P-name its space, its accepting term, its remainder bit, and
     the ``var_bits`` of its S-variables indexed by S-name (0 for an S-name
     that is not one); ``steps[j]`` holds the pairs ``(i, bit)`` of the serial
-    rules headed by P-name ``j``.  A profile's ``space`` is ``names``, not
-    the context, so that bridge profiles make no reference cycle.
+    rules headed by P-name ``j``.  ``bridge_profiles[a]`` is the profile of
+    the lone edge ``a``: ``(s, ⊥)`` for each rule ``s -> a``, and the chain
+    steps of every P-name whose alternation target derives ``a``.  A
+    profile's ``space`` is ``names``, not the context, so that bridge
+    profiles make no reference cycle.
     """
 
-    def __init__(self, source, work, contexts, spaces, accepting, serial_rules, bridges):
+    def __init__(self, source: Grammar):
         self.source = source
-        self.grammar = work
-        self.contexts = contexts
-        self.spaces = spaces
-        self.accepting = accepting
+        self.grammar = work = working_form(source)
         snames, pnames = work.snames, work.pnames
+        table = _base_period(work)
+        self.contexts = {p: table.context(p) for p in pnames}
+        spaces = self.spaces = {p: term_space(self.contexts[p]) for p in pnames}
         # a new tuple per context: the operations tell contexts apart by it
         self.names = (*snames, *pnames, None)
         index = self.index = {q: j for j, q in enumerate(self.names)}
@@ -227,16 +228,42 @@ class RecognizerCtx:
         self.bot = 1 << index[None]
         self.s_axioms = sum(1 << index[x] for x in work.axioms if index[x] < ns)
         self.p_axioms = sum(1 << index[x] for x in work.axioms if index[x] >= ns)
+
+        # one scan of the rules: the chain steps of each P-name, the
+        # accepting monomials of each P-name, and the rows of each bridge
+        steps = [[] for _ in self.names]
+        accepting: dict = {p: set() for p in pnames}
+        bridges = {a: [0] * ns for a in work.alphabet}  # label -> dense rows
+        labels = defaultdict(list)  # S-name -> the labels a of its rules s -> a
+        alts = []  # (P-name, S-name) of each alternation rule
+        for r in work.rules:
+            if isinstance(r, RuleF):
+                bridges[r.a][index[r.s]] |= self.bot
+                labels[r.s].append(r.a)
+            elif isinstance(r, RuleB):
+                # normalized => every exponent is below its base, nothing reduces
+                accepting[r.p].add(Monomial.of(r.body))
+            elif isinstance(r, RuleAlt):
+                accepting[r.p].add(Monomial.of({r.s: 1}))
+                alts.append((r.p, r.s))
+            elif isinstance(r, RuleC):
+                steps[index[r.p]].append((index[r.s], 1 << index[r.s1]))
+            elif isinstance(r, RuleD):
+                steps[index[r.p1]].append((index[r.s], 1 << index[r.p2]))
+        # a lone edge a is a finished layer of p when p's alternation
+        # target derives a, so bridge a takes the chain steps of p
+        for p, t in alts:
+            for a in labels[t]:
+                for i, bit in steps[index[p]]:
+                    bridges[a][i] |= bit
+        self.steps = tuple(map(tuple, steps))
+        self.accepting = {p: spaces[p].encode(TermNF(frozenset(ms))) for p, ms in accepting.items()}
         self.layers = [
-            (p, spaces[p], accepting[p], 1 << index[p],
+            (p, spaces[p], self.accepting[p], 1 << index[p],
              tuple(spaces[p].var_bits.get(s, 0) for s in snames))
             for p in pnames
         ]
-        steps = [[] for _ in self.names]
-        for lhs, head, rem in serial_rules:
-            steps[index[head]].append((index[lhs], 1 << index[rem]))
-        self.steps = tuple(map(tuple, steps))
-        self.bridge_profiles = {a: self.pack(pairs) for a, pairs in bridges.items()}
+        self.bridge_profiles = {a: self.from_dense(rows) for a, rows in bridges.items()}
 
     # -- building and reading packed profiles ---------------------------------
 
@@ -400,62 +427,8 @@ class RowTable(dict):
 
 
 def build_ctx(g: Grammar) -> RecognizerCtx:
-    if any(isinstance(r, RuleAlt) for r in g.rules):
-        if not (is_normalized(g) and is_alternative(g)):
-            raise GrammarError(
-                "grammars with alternation rules must already be normalized "
-                "and in alternative form"
-            )
-        work = g
-    else:
-        # the one check of g; its working copies are derived unchecked
-        _require_regular(g, "not a regular grammar")
-        work = _to_alternative(_normalize(g))
-
-    # An axiom p accepts every bridge its alternation targets spell; those
-    # targets derive nothing else, so making them axioms keeps the language
-    # and lets acceptance of bridges be read off the S-side alone.
-    axioms = set(work.axioms)
-    promoted = {r.s for r in work.rules if isinstance(r, RuleAlt) and r.p in axioms}
-    if promoted - axioms:
-        work = _derived(work, axioms=work.axioms + tuple(sorted(promoted - axioms)))
-
-    table = _base_period(work)
-    contexts = {p: table.context(p) for p in work.pnames}
-    spaces = {p: term_space(contexts[p]) for p in work.pnames}
-
-    accepting: dict = {p: set() for p in work.pnames}
-    falls = defaultdict(set)  # s -> labels derivable in one step
-    serial_rules = []  # (lhs, head_p, remainder) for all C- and D-rules
-    for r in work.rules:
-        if isinstance(r, RuleF):
-            falls[r.s].add(r.a)
-        elif isinstance(r, RuleB):
-            m = Monomial.of(r.body)
-            # normalized => every exponent is below its base, nothing reduces
-            accepting[r.p].add(m)
-        elif isinstance(r, RuleAlt):
-            accepting[r.p].add(Monomial.of({r.s: 1}))
-        elif isinstance(r, RuleC):
-            serial_rules.append((r.s, r.p, r.s1))
-        elif isinstance(r, RuleD):
-            serial_rules.append((r.s, r.p1, r.p2))
-    accepting = {p: spaces[p].encode(TermNF(frozenset(ms))) for p, ms in accepting.items()}
-
-    pbridge = defaultdict(set)  # p -> labels p derives as a lone edge
-    for r in work.rules:
-        if isinstance(r, RuleAlt):
-            pbridge[r.p] |= falls[r.s]
-
-    bridges = {}
-    for a in work.alphabet:
-        pairs = {(s, None) for s, labels in falls.items() if a in labels}
-        for lhs, head, rem in serial_rules:
-            if a in pbridge[head]:
-                pairs.add((lhs, rem))
-        bridges[a] = pairs
-
-    return RecognizerCtx(g, work, contexts, spaces, accepting, serial_rules, bridges)
+    """The recognizer context of ``g`` (see ``RecognizerCtx``)."""
+    return RecognizerCtx(g)
 
 
 def bridge_profile(a: str, ctx: RecognizerCtx) -> SProfile:

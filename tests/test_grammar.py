@@ -14,6 +14,7 @@ from conftest import (
     GAB_TEXT,
     UNIV_TEXT,
 )
+from spr.decision import inclusion
 from spr.grammar import (
     BasePeriodTable,
     Grammar,
@@ -188,6 +189,9 @@ _HEAD = "alphabet: a\npnonterminals: p\nsnonterminals: s\naxioms: p\nrules:\np -
         (parse_grammar, _HEAD + "s -> p . s^2\n", _MISPLACED_EXPONENT, 7, 11),
         # empty text has no line 0
         (parse_grammar, "", "missing 'rules:' section", 1, 1),
+        # a misspelt fifth section line, and a rule without a body
+        (parse_grammar, _HEAD.replace("rules:", "rule:"), "expected 'rules:' section", 5, 1),
+        (parse_grammar, _HEAD.replace("p -> a", "p ->   "), "unexpected end of input", 6, 5),
     ],
 )
 def test_parse_errors_point_at_the_offending_token(read, text, message, line, col):
@@ -272,6 +276,8 @@ def test_declaration_errors(patch, message):
         (RuleF("s", "z"), "label 'z' not in alphabet"),
         (RuleC("p", "p", "s"), "not a declared S-nonterminal"),
         (RuleD("s", "p", "s"), "not a declared P-nonterminal"),
+        (RuleFree("x", Atom("a")), "undeclared nonterminal 'x' in x -> a"),
+        (RuleFree("p", Serial(Atom("a"), Ref("x"))), r"undeclared nonterminal 'x' in p -> a \. x"),
     ],
 )
 def test_rule_validation_errors(rule, message):
@@ -533,6 +539,32 @@ def test_to_alternative_without_edge_rules_is_identity():
         "rules:\ns -> p . s\ns -> a\n"
     )
     assert to_alternative(g) == g
+
+
+# '$alt_a' is taken, so the copy for label a is named '$alt_a$'
+COLLISION_TEXT = """\
+alphabet: a b
+pnonterminals: p
+snonterminals: s $alt_a
+axioms: p
+rules:
+p -> a
+p -> s || s
+s -> b
+$alt_a -> b
+"""
+
+
+def test_to_alternative_skips_taken_copy_names():
+    g = parse_grammar(COLLISION_TEXT)
+    alt = to_alternative(normalize(g))
+    assert is_alternative(alt)
+    assert alt.snames == ("s", "$alt_a", "$alt_a$")
+    assert alt.axioms == ("p", "$alt_a$")
+    assert RuleAlt("p", "$alt_a$") in alt.rules
+    assert RuleF("$alt_a$", "a") in alt.rules
+    assert RuleF("$alt_a", "b") in alt.rules
+    assert inclusion(g, alt).holds and inclusion(alt, g).holds
 
 
 def test_is_alternative_requires_dedicated_targets(univ):

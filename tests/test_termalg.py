@@ -111,6 +111,13 @@ def test_nf_monomial_unknown_variable():
         nf_monomial({"z": 1}, CTX)
 
 
+def test_linear_to_nf_unknown_variable():
+    space = term_space(CTX)
+    assert isinstance(space, TermSpace)
+    with pytest.raises(ValueError, match="variable 'zz' not in context"):
+        linear_to_nf(LinearTerm.of({"zz"}), space)
+
+
 def test_nf_monomial_accepts_monomial_and_mapping():
     assert nf_monomial(mono(s1=1), CTX) == nf_monomial({"s1": 1}, CTX)
 
