@@ -267,10 +267,7 @@ def run(argv=None) -> int:
         ap.error(f"argument -n/--edges: must not be negative, got {args.edges}")
     try:
         return args.handler(args)
-    except CapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ParseError, GrammarError, OSError, ValueError, RecursionError) as e:
+    except (CapExceeded, ParseError, GrammarError, OSError, ValueError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError:

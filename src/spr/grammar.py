@@ -48,8 +48,14 @@ its term, whose ``Serial``/``Parallel`` layers hold all their parts, with
 each ``s^k`` kept as the pair ``(leaf, k)``, and the regular shapes are read
 off those layers, so an exponent stays a count and costs its digits, not
 its value.  Only a free-form body (where an exponent is an error) is kept
-as a ``Term``.  ``rule_rhs_term`` gives an A- or B-rule body back as one
-parallel layer, in which ``s^k`` is k parts sharing one ``Ref``.
+as a ``Term``.
+
+``rule_rhs_term`` is the one reading of a rule body: ``format_rule``
+prints it and ``_body_names`` lists its ``Ref`` leaves.  The exception is
+a counted body, that of an A- or B-rule: ``_counts`` alone reads it, as
+(name, copies) pairs, and it is printed and listed from those pairs, so a
+count is never expanded there.  As a term it is one parallel layer, in
+which ``s^k`` is k parts sharing one ``Ref``.
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ from .spgraph import (
     fold_term,
     format_term,
 )
+from .termalg import Bounded, Periodic
 
 
 class GrammarError(ValueError):
@@ -280,32 +287,31 @@ def _require_regular(g: Grammar, what: str) -> None:
         raise GrammarError(f"{what}: {rep.offenders[0][1]}")
 
 
+def _counts(r: Rule) -> tuple:
+    """An A- or B-rule body as (name, copies) pairs, the head first (one
+    copy) for an A-rule; no pairs for any other rule."""
+    return ((r.p, 1), (r.s, r.ell)) if isinstance(r, RuleA) else getattr(r, "body", ())
+
+
 def _body_names(r: Rule) -> tuple[str, ...]:
-    """The nonterminals ``r``'s body names, read from its fields (with
-    repeats, in no set order), so an exponent is not expanded."""
-    if isinstance(r, RuleA):
-        return r.p, r.s
-    if isinstance(r, RuleB):
-        return tuple(v for v, _ in r.body)
-    if isinstance(r, RuleC):
-        return r.p, r.s1
-    if isinstance(r, RuleD):
-        return r.p1, r.p2
-    if isinstance(r, RuleFree):
-        refs: list = []
-        fold_term(r.rhs, _ignore, refs.append, _ignore, _ignore)
-        return tuple(refs)
-    return ()
+    """The nonterminals ``r``'s body names (with repeats, in no set order):
+    a counted body's names once each, so an exponent is not expanded."""
+    if isinstance(r, (RuleA, RuleB)):
+        return tuple(v for v, _ in _counts(r))
+    refs: list = []
+    fold_term(rule_rhs_term(r), _ignore, refs.append, _ignore, _ignore)
+    return tuple(refs)
 
 
 def rule_rhs_term(r: Rule) -> Term:
-    """The rule body as a term over labels and nonterminal references; an
-    A- or B-rule body is one parallel layer, ``s^k`` its k parts that share
-    one ``Ref``."""
+    """The rule body as a term over labels and nonterminal references: the
+    one reading of a body.  ``format_rule`` and ``_body_names`` read every
+    body from it but a counted one, whose pairs (``_counts``) they read
+    instead.  An A- or B-rule body is one parallel layer, ``s^k`` its k
+    parts that share one ``Ref``."""
     if isinstance(r, (RuleA, RuleB)):
-        body = ((r.p, 1), (r.s, r.ell)) if isinstance(r, RuleA) else r.body
         parts: list = []
-        for v, e in body:
+        for v, e in _counts(r):
             if e > sys.maxsize:
                 raise GrammarError(
                     f"rule {format_rule(r)!r}: {v} has more copies than a term can hold")
@@ -493,8 +499,6 @@ class BasePeriodTable:
     bounded: dict
 
     def context(self, p: str) -> dict:
-        from .termalg import Bounded, Periodic
-
         per = self.periodic.get(p, {})
         bnd = self.bounded.get(p, {})
         overlap = set(per) & set(bnd)
@@ -604,10 +608,7 @@ def parse_grammar(text: str) -> Grammar:
                     msg = "exponents are only valid on S-nonterminals in parallel rule bodies"
                     parser.error(msg, parser.exponent_at)
                 # each count was read, but a name's counts sum (``_shape``)
-                counts = getattr(rule, "body", ())
-                if isinstance(rule, RuleA):
-                    counts = ((rule.s, rule.ell),)
-                for v, e in counts:
+                for v, e in _counts(rule):
                     try:
                         str(e)
                     except ValueError:  # more digits than the interpreter prints
@@ -667,21 +668,14 @@ def _shape(lhs: str, kinds: dict, body):
 
 
 def format_rule(r: Rule) -> str:
-    if isinstance(r, RuleA):
-        exp = f"^{r.ell}" if r.ell > 1 else ""
-        return f"{r.p} -> {r.p} || {r.s}{exp}"
-    if isinstance(r, RuleB):
-        body = " || ".join(v if e == 1 else f"{v}^{e}" for v, e in r.body)
-        return f"{r.p} -> {body}"
-    if isinstance(r, RuleC):
-        return f"{r.s} -> {r.p} . {r.s1}"
-    if isinstance(r, RuleD):
-        return f"{r.s} -> {r.p1} . {r.p2}"
-    if isinstance(r, (RuleE, RuleF)):
-        return f"{r.lhs} -> {r.a}"
-    if isinstance(r, RuleAlt):
-        return f"{r.p} -> {r.s}"
-    return f"{r.name} -> {format_term(r.rhs)}"
+    """``lhs -> body``, the body printed from ``rule_rhs_term``, but for a
+    counted (A- or B-rule) body, printed from its pairs as ``s`` for one
+    copy and ``s^k`` for any other count, so it is never expanded."""
+    if isinstance(r, (RuleA, RuleB)):
+        body = " || ".join(v if e == 1 else f"{v}^{e}" for v, e in _counts(r))
+    else:
+        body = format_term(rule_rhs_term(r))
+    return f"{r.lhs} -> {body}"
 
 
 def format_grammar(g: Grammar) -> str:

@@ -222,6 +222,7 @@ def test_a_summed_count_past_the_digit_limit_is_a_positioned_error():
 
 def test_comments_and_blank_lines_are_ignored(univ):
     text = UNIV_TEXT.replace("rules:", "\n# body follows\nrules:\n")
+    text = text.replace("pnonterminals:", "\n# the P-names\npnonterminals:")
     text += "# trailing comment\n\n"
     assert parse_grammar(text) == univ
 
@@ -278,6 +279,7 @@ def test_declaration_errors(patch, message):
         (RuleD("s", "p", "s"), "not a declared P-nonterminal"),
         (RuleFree("x", Atom("a")), "undeclared nonterminal 'x' in x -> a"),
         (RuleFree("p", Serial(Atom("a"), Ref("x"))), r"undeclared nonterminal 'x' in p -> a \. x"),
+        ("bogus", "unknown rule object 'bogus'"),
     ],
 )
 def test_rule_validation_errors(rule, message):
@@ -286,6 +288,15 @@ def test_rule_validation_errors(rule, message):
     parts["rules"] = parts["rules"] + (rule,)
     with pytest.raises(GrammarError, match=message):
         Grammar(**parts)
+
+
+def test_a_rule_without_copies_is_printed_with_its_count():
+    # printed as ``p -> p || s`` the rejected rule would read as a valid one
+    parts = _univ_parts()
+    parts["rules"] = parts["rules"] + (RuleA("p", "s", 0),)
+    with pytest.raises(GrammarError) as exc:
+        Grammar(**parts)
+    assert str(exc.value) == "exponent must be >= 1 in p -> p || s^0"
 
 
 def test_duplicate_rules_collapse(univ):

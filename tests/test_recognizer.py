@@ -247,6 +247,17 @@ def test_par_map_sums_completed_variables(univ):
     assert str(dict(t.entries)["p"]) == "1 + $alt_a + s$1"
 
 
+def test_profiles_and_terms_repr_as_their_text(univ):
+    ctx = build_ctx(univ)
+    h = bridge_profile("b", ctx)
+    assert repr(h) == "SProfile({($alt_b, ⊥), (s, ⊥), (s, p), (s, s), (s$1, ⊥), (s$1, p), (s$1, s)})"
+    assert repr(eval_graph(parse_graph("a || a"), ctx)) == (
+        "PProfile(p: 1 + $alt_a + s$1 + $alt_a*s$1 + s$1^2)"
+    )
+    t = dict(par_map(bridge_profile("a", ctx), ctx).entries)["p"]
+    assert repr(t) == "PackedTerm('1 + $alt_a + s$1')"
+
+
 def test_seq_map_passes_serial_profiles_through(univ):
     ctx = build_ctx(univ)
     h = bridge_profile("b", ctx)

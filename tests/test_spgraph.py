@@ -108,6 +108,12 @@ def test_equality_is_structural():
     assert g1 != parse_graph("a . (b || a . c)")
 
 
+def test_graph_repr_and_str_are_its_canonical_text():
+    g = parse_graph("a . (b || a)")
+    assert repr(g) == "<sp a . (a || b)>"
+    assert str(g) == "a . (a || b)"
+
+
 def test_compose_serial_associative():
     gs = enumerate_graphs(["a", "b"], 2)
     for x, y, z in itertools.islice(itertools.product(gs, repeat=3), 200):

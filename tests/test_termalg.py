@@ -428,6 +428,11 @@ def test_packed_terms_read_like_normal_forms():
         assert term_mul(t, space.encode(ZERO), space) == ZERO
 
 
+def test_term_nf_does_not_equal_other_types():
+    assert TermNF(frozenset()).__eq__(3) is NotImplemented
+    assert (TermNF(frozenset()) == 3) is False
+
+
 def test_large_boxes_keep_frozenset_terms(monkeypatch):
     monkeypatch.setattr(termalg, "BOX_LIMIT", 10)
     assert isinstance(term_space({"s": Bounded(10)}), TermSpace)
